@@ -17,16 +17,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .builder import build_tree
-from .exceptions import ModelError
+from .exceptions import ModelError, TensorTreeError
 from .metrics import robinson_foulds
-from .model import (LatentTree, TreeParameters, empirical_pairwise,
-                    empirical_quartet_tensor, exact_quartet_distribution,
-                    pairwise_distribution, quartet_tree, sample)
+from .model import (LatentTree, SampleSet, TreeParameters, bfs_edges,
+                    empirical_pairwise, empirical_quartet_tensor,
+                    exact_quartet_distribution, pairwise_distribution,
+                    quartet_tree, sample)
 from .nj import INFINITE_SENTINEL, additive_distance, distance_matrix, neighbor_join
 from .resolvers import (PAIR_KEYS, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
-from .tensors import (JointTensor4, QuartetRelation, kronecker, nuclear_norm,
-                      spectral, unfold)
+from .tensors import JointTensor4, QuartetRelation, kronecker, nuclear_norm
 
 # ---------------------------------------------------------------------------
 # CPT generation
@@ -111,17 +111,6 @@ class QuartetModel:
         values = np.einsum("ah,bh,hg,cg,dg->abcd", p1, p2, self.joint_hidden, p3, p4)
         return JointTensor4(values / values.sum(), kind="exact")
 
-    def pairwise_tables(self) -> dict:
-        """All six exact pairwise tables, keyed by (i, j) with 1 <= i < j <= 4."""
-        t = self.exact_tensor().values
-        axes = {1: 0, 2: 1, 3: 2, 4: 3}
-        out = {}
-        for i, j in PAIR_KEYS:
-            keep = (axes[i], axes[j])
-            drop = tuple(a for a in range(4) if a not in keep)
-            out[(i, j)] = t.sum(axis=drop)
-        return out
-
     def as_tree(self) -> LatentTree:
         """Parameterized 4-leaf tree; requires equal hidden cardinalities."""
         if self.k_h != self.k_g:
@@ -138,6 +127,16 @@ class QuartetModel:
                   (g, 2): self.obs_cpts[2], (g, 3): self.obs_cpts[3]})
         return LatentTree({u: tree.neighbors(u) for u in tree.nodes()},
                           tree.leaf_names, params=params)
+
+
+def pairwise_tables(tensor: JointTensor4) -> dict:
+    """The six pairwise marginals of a 4-way table, keyed by (i, j) with
+    1 <= i < j <= 4."""
+    out = {}
+    for i, j in PAIR_KEYS:
+        drop = tuple(a for a in range(4) if a not in (i - 1, j - 1))
+        out[(i, j)] = tensor.values.sum(axis=drop)
+    return out
 
 
 def random_quartet_model(k_h: int, k_g: int, n: int, mu: float, seed) -> QuartetModel:
@@ -235,27 +234,19 @@ def parameterize(tree: LatentTree, n: int, k: int, mu: float, seed,
     if hidden_base not in ("independent", "identity"):
         raise ValueError(f"unknown hidden_base {hidden_base!r}")
     rng = _as_rng(seed)
+    adj = {u: tree.neighbors(u) for u in tree.nodes()}
     root = min(tree.hidden)
     cpts = {}
-    seen = {root}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in tree.neighbors(u):
-            if v in seen:
-                continue
-            seen.add(v)
-            if tree.is_leaf(v):
-                cpts[(u, v)] = perturbed_cpt(n, k, mu, rng)
-            elif hidden_base == "identity":
-                cpts[(u, v)] = perturbed_cpt(k, k, mu, rng)
-            else:
-                cpts[(u, v)] = perturb_stochastic(uniform_base(k, k), mu, rng)
-            queue.append(v)
+    for u, v in bfs_edges(adj, root):
+        if tree.is_leaf(v):
+            cpts[(u, v)] = perturbed_cpt(n, k, mu, rng)
+        elif hidden_base == "identity":
+            cpts[(u, v)] = perturbed_cpt(k, k, mu, rng)
+        else:
+            cpts[(u, v)] = perturb_stochastic(uniform_base(k, k), mu, rng)
     params = TreeParameters(n=n, k=k, root=root,
                             root_marginal=perturbed_marginal(k, mu, rng), cpts=cpts)
-    return LatentTree({u: tree.neighbors(u) for u in tree.nodes()},
-                      tree.leaf_names, params=params)
+    return LatentTree(adj, tree.leaf_names, params=params)
 
 
 def random_tree_model(d: int, beta: float, n: int, k: int, mu: float, seed,
@@ -311,10 +302,9 @@ def _surrogate_gaps(p12: np.ndarray, p34: np.ndarray) -> float:
 
 
 def _score_gap(tensor: JointTensor4, correct: QuartetRelation) -> float:
-    norms = {rel: spectral(unfold(tensor, rel)).nuclear_norm
-             for rel in QuartetRelation}
-    others = [norms[rel] for rel in QuartetRelation if rel != correct]
-    return min(o - norms[correct] for o in others)
+    scores = resolve_nuclear(tensor).scores
+    return min(s - scores[correct - 1] for rel, s in zip(QuartetRelation, scores)
+               if rel != correct)
 
 
 def diagnostics(model, max_quartets: int | None = None, seed=0) -> RecoveryDiagnostics:
@@ -346,7 +336,7 @@ def _assemble(theta_min, gamma_min, alpha_min, deltas, k, d) -> RecoveryDiagnost
 def _diagnostics_quartet(model: QuartetModel) -> RecoveryDiagnostics:
     p_h, p_g = model.hidden_marginals()
     delta = model.joint_hidden - np.outer(p_h, p_g)
-    pairs = model.pairwise_tables()
+    pairs = pairwise_tables(model.exact_tensor())
     theta = _surrogate_gaps(pairs[(1, 2)], pairs[(3, 4)])
     alpha = _score_gap(model.exact_tensor(), model.true_relation)
     k = max(model.k_h, model.k_g)
@@ -409,6 +399,46 @@ def _validate_methods(methods, n):
         kind, k = parse_method(name)
         if kind == "spectral" and k > n:
             raise ValueError(f"method {name!r} needs k <= n = {n}")
+
+
+def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = None,
+            ) -> LatentTree:
+    """Tree over the sample columns, named by ``samples.variable_names``, built
+    with one method (see :func:`parse_method`).
+
+    ``seed`` drives the builder's random choices.  ``oracle`` needs the true
+    tree ``truth``, whose leaves in ascending id order are the sample columns.
+    """
+    kind, spectral_k = parse_method(method)
+    d = samples.d
+    if kind == "nj":
+        tables = {(i, j): empirical_pairwise(samples, i, j)
+                  for i in range(d) for j in range(i + 1, d)}
+        # Marginals come from tables already counted.  The last column's is the
+        # row sum of a contiguous transpose: a sum over the strided view could
+        # round differently from a row sum of a table counted the other way.
+        marginals = [tables[(i, i + 1)].sum(axis=1) for i in range(d - 1)]
+        marginals.append(np.ascontiguousarray(tables[(0, d - 1)].T).sum(axis=1))
+        return neighbor_join(distance_matrix(tables, marginals), samples.variable_names)
+    if kind == "oracle":
+        if truth is None:
+            raise ValueError("method 'oracle' needs the true tree")
+        leaves = truth.leaves
+
+        def resolver(a, b, c, dd):
+            return resolve_oracle(truth, (leaves[a], leaves[b], leaves[c], leaves[dd]))
+    elif kind == "tensor":
+        def resolver(a, b, c, dd):
+            return resolve_nuclear(empirical_quartet_tensor(samples, (a, b, c, dd)))
+    else:
+        def resolver(a, b, c, dd):
+            ids = (a, b, c, dd)
+            pairs = {(i, j): empirical_pairwise(samples, ids[i - 1], ids[j - 1])
+                     for i, j in PAIR_KEYS}
+            return resolve_spectral_k(pairs, spectral_k)
+    tree, _ = build_tree(resolver, range(d), seed=seed,
+                         names=dict(enumerate(samples.variable_names)))
+    return tree
 
 
 @dataclass(frozen=True)
@@ -517,15 +547,6 @@ def _nj_quartet_relation(pairs, marginals) -> QuartetRelation:
     return QuartetRelation(int(np.argmin(np.round(scores, 12))) + 1)
 
 
-def _tensor_pairwise(tensor: JointTensor4) -> dict:
-    axes = {1: 0, 2: 1, 3: 2, 4: 3}
-    out = {}
-    for i, j in PAIR_KEYS:
-        drop = tuple(a for a in range(4) if a not in (axes[i], axes[j]))
-        out[(i, j)] = tensor.values.sum(axis=drop)
-    return out
-
-
 def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
     model = random_quartet_model(cfg.k_h, cfg.k_g, cfg.n, cfg.mu,
                                  np.random.default_rng([cfg.seed, 1, trial]))
@@ -549,7 +570,7 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
                     rel = model.true_relation
                 else:
                     if pairs is None:
-                        pairs = _tensor_pairwise(emp)
+                        pairs = pairwise_tables(emp)
                         marginals = {1: pairs[(1, 2)].sum(axis=1),
                                      2: pairs[(1, 2)].sum(axis=0),
                                      3: pairs[(3, 4)].sum(axis=1),
@@ -559,7 +580,7 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
                     else:
                         rel = _nj_quartet_relation(pairs, marginals)
                 outcome = 1.0 if rel == model.true_relation else 0.0
-            except Exception:
+            except TensorTreeError:
                 outcome = math.nan
             elapsed = (time.perf_counter() - t0) * 1000.0
             rows.append((name, m, trial, outcome, elapsed))
@@ -571,52 +592,19 @@ def _tree_trial(cfg: TreeExperimentConfig, trial: int) -> list:
     k = int(rng.integers(cfg.k_range[0], cfg.k_range[1] + 1))
     truth = random_tree_model(cfg.d, cfg.beta, cfg.n, k, cfg.mu, rng,
                               hidden_base=cfg.hidden_base)
-    leaf_ids = truth.leaves
     rows = []
     for mi, m in enumerate(cfg.sample_grid):
         samples = sample(truth, m, np.random.default_rng([cfg.seed, 2, trial, mi]))
         for name in cfg.methods:
-            kind, sk = parse_method(name)
             t0 = time.perf_counter()
             try:
-                learned = _build_with_method(kind, sk, truth, samples, leaf_ids,
-                                             build_seed=[cfg.seed, 3, trial, mi])
+                learned = recover(samples, name, [cfg.seed, 3, trial, mi], truth=truth)
                 outcome = float(robinson_foulds(learned, truth))
-            except Exception:
+            except TensorTreeError:
                 outcome = math.nan
             elapsed = (time.perf_counter() - t0) * 1000.0
             rows.append((name, m, trial, outcome, elapsed))
     return rows
-
-
-def _build_with_method(kind, spectral_k, truth, samples, leaf_ids, build_seed):
-    names = dict(truth.leaf_names)
-    if kind == "oracle":
-        resolver = lambda a, b, c, d: resolve_oracle(truth, (a, b, c, d))
-        tree, _ = build_tree(resolver, leaf_ids, seed=build_seed, names=names)
-        return tree
-    if kind == "tensor":
-        def resolver(a, b, c, d):
-            return resolve_nuclear(empirical_quartet_tensor(samples, (a, b, c, d)))
-        tree, _ = build_tree(resolver, leaf_ids, seed=build_seed, names=names)
-        return tree
-    if kind == "spectral":
-        def resolver(a, b, c, d):
-            ids = (a, b, c, d)
-            pairs = {(i, j): empirical_pairwise(samples, ids[i - 1], ids[j - 1])
-                     for i, j in PAIR_KEYS}
-            return resolve_spectral_k(pairs, spectral_k)
-        tree, _ = build_tree(resolver, leaf_ids, seed=build_seed, names=names)
-        return tree
-    if kind == "nj":
-        d = len(leaf_ids)
-        tables = {(i, j): empirical_pairwise(samples, i, j)
-                  for i in range(d) for j in range(i + 1, d)}
-        marginals = [empirical_pairwise(samples, i, (i + 1) % d).sum(axis=1)
-                     for i in range(d)]
-        dist = distance_matrix(tables, marginals)
-        return neighbor_join(dist, [names[i] for i in leaf_ids])
-    raise ValueError(f"unknown method kind {kind!r}")
 
 
 def _run(cfg, trial_fn, jobs: int) -> ResultTable:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 The default seed can be overridden with the TENSORTREE_SEED environment
-variable; an explicit --seed flag always wins.
+variable (an integer; anything else is a usage error); an explicit --seed flag
+always wins.
 """
 
 from __future__ import annotations
@@ -15,28 +16,23 @@ import time
 
 from . import __version__
 from .bench import (QuartetExperimentConfig, TreeExperimentConfig,
-                    diagnostics, parse_method, run_quartet_experiment,
+                    diagnostics, parse_method, recover, run_quartet_experiment,
                     run_tree_experiment)
-from .builder import build_tree
 from .exceptions import NumericalError, ParseError
 from .metrics import to_newick
-from .model import SampleSet, empirical_pairwise, empirical_quartet_tensor
+from .model import SampleSet
 from .modelfile import read_model
-from .nj import distance_matrix, neighbor_join
-from .resolvers import PAIR_KEYS, resolve_nuclear, resolve_spectral_k
+# Unused here (bench.recover builds every tree), but perfbench/tracing.py
+# patches these names on this module and fails if they are missing.
+from .builder import build_tree  # noqa: F401
+from .model import empirical_pairwise, empirical_quartet_tensor  # noqa: F401
+from .nj import distance_matrix, neighbor_join  # noqa: F401
+from .resolvers import resolve_nuclear, resolve_spectral_k  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("TENSORTREE_SEED", "")
-    try:
-        return int(raw) if raw else 0
-    except ValueError:
-        return 0
 
 
 def _int_list(text: str) -> list[int]:
@@ -50,15 +46,15 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _write_manifest(path, subcommand, config, seed, elapsed_s):
+def _write_manifest(args, elapsed_s):
     manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
+        "subcommand": args.command,
+        "config": vars(args),
+        "seed": args.seed,
         "version": __version__,
         "elapsed_seconds": round(elapsed_s, 3),
     }
-    with open(str(path) + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -130,25 +126,22 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_quartet_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         cfg = QuartetExperimentConfig(
             k_h=args.kh, k_g=args.kg, n=args.n, mu=args.mu,
             sample_grid=tuple(args.samples), trials=args.trials,
-            methods=tuple(args.methods), seed=seed)
+            methods=tuple(args.methods), seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
     table = run_quartet_experiment(cfg, jobs=args.jobs)
     table.write_csv(args.out)
-    _write_manifest(args.out, "quartet-bench", vars(args) | {"seed": seed},
-                    seed, time.perf_counter() - t0)
+    _write_manifest(args, time.perf_counter() - t0)
     return EXIT_OK
 
 
 def cmd_tree_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if len(args.k_range) != 2:
         print("error: --k-range needs exactly two integers lo,hi", file=sys.stderr)
         return EXIT_USAGE
@@ -156,7 +149,7 @@ def cmd_tree_bench(args) -> int:
         cfg = TreeExperimentConfig(
             d=args.d, beta=args.beta, k_range=tuple(args.k_range), n=args.n,
             mu=args.mu, sample_grid=tuple(args.samples), trials=args.trials,
-            methods=tuple(args.methods), seed=seed,
+            methods=tuple(args.methods), seed=args.seed,
             hidden_base=args.hidden_base)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -164,13 +157,11 @@ def cmd_tree_bench(args) -> int:
     t0 = time.perf_counter()
     table = run_tree_experiment(cfg, jobs=args.jobs)
     table.write_csv(args.out)
-    _write_manifest(args.out, "tree-bench", vars(args) | {"seed": seed},
-                    seed, time.perf_counter() - t0)
+    _write_manifest(args, time.perf_counter() - t0)
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         kind, spectral_k = parse_method(args.method)
     except ValueError as exc:
@@ -195,44 +186,19 @@ def cmd_build(args) -> int:
         print(f"error: spectral rank {spectral_k} exceeds state count "
               f"{samples.n_states}", file=sys.stderr)
         return EXIT_USAGE
-    names = {i: name for i, name in enumerate(samples.variable_names)}
     t0 = time.perf_counter()
     try:
-        tree = _build_from_samples(samples, kind, spectral_k, names, seed)
+        tree = recover(samples, args.method, args.seed)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(to_newick(tree) + "\n")
-    _write_manifest(args.out, "build", vars(args) | {"seed": seed},
-                    seed, time.perf_counter() - t0)
+    _write_manifest(args, time.perf_counter() - t0)
     return EXIT_OK
 
 
-def _build_from_samples(samples, kind, spectral_k, names, seed):
-    d = samples.d
-    if kind == "nj":
-        tables = {(i, j): empirical_pairwise(samples, i, j)
-                  for i in range(d) for j in range(i + 1, d)}
-        marginals = [empirical_pairwise(samples, i, (i + 1) % d).sum(axis=1)
-                     for i in range(d)]
-        return neighbor_join(distance_matrix(tables, marginals),
-                             samples.variable_names)
-    if kind == "tensor":
-        def resolver(a, b, c, dd):
-            return resolve_nuclear(empirical_quartet_tensor(samples, (a, b, c, dd)))
-    else:
-        def resolver(a, b, c, dd):
-            ids = (a, b, c, dd)
-            pairs = {(i, j): empirical_pairwise(samples, ids[i - 1], ids[j - 1])
-                     for i, j in PAIR_KEYS}
-            return resolve_spectral_k(pairs, spectral_k)
-    tree, _ = build_tree(resolver, range(d), seed=seed, names=names)
-    return tree
-
-
 def cmd_diagnose(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         model = read_model(args.model)
     except OSError as exc:
@@ -246,7 +212,7 @@ def cmd_diagnose(args) -> int:
         return EXIT_DATA
     t0 = time.perf_counter()
     try:
-        diag = diagnostics(model, max_quartets=args.max_quartets, seed=seed)
+        diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -277,8 +243,7 @@ def cmd_diagnose(args) -> int:
         for key, val in rows:
             fh.write(f"{key},{val:.12g}\n" if isinstance(val, float)
                      else f"{key},{val}\n")
-    _write_manifest(args.out, "diagnose", vars(args) | {"seed": seed},
-                    seed, time.perf_counter() - t0)
+    _write_manifest(args, time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -293,6 +258,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        raw = os.environ.get("TENSORTREE_SEED", "").strip()
+        try:
+            args.seed = int(raw) if raw else 0
+        except ValueError:
+            print(f"error: TENSORTREE_SEED must be an integer, got {raw!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     return _COMMANDS[args.command](args)
 
 

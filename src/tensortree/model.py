@@ -54,6 +54,21 @@ class TreeParameters:
                     f"CPT for edge {parent}->{child} is not column-stochastic")
 
 
+def bfs_edges(adjacency: Mapping[int, Iterable[int]], root: int) -> list[tuple[int, int]]:
+    """(parent, child) pairs of a tree oriented away from ``root``, in
+    breadth-first order, children in adjacency order."""
+    order = []
+    seen = {root}
+    frontier = [root]
+    for u in frontier:  # the frontier grows while it is walked
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append((u, v))
+                frontier.append(v)
+    return order
+
+
 class LatentTree:
     """Unrooted tree with named observed leaves and degree-3 hidden nodes."""
 
@@ -173,9 +188,6 @@ class LatentTree:
                 return x
         raise ModelError("no median found (not a tree?)")
 
-    def with_adjacency(self, adjacency, leaf_names) -> "LatentTree":
-        return LatentTree(adjacency, leaf_names)
-
     # -- parameterized queries ---------------------------------------------
 
     def _require_params(self) -> TreeParameters:
@@ -185,18 +197,7 @@ class LatentTree:
 
     def parent_order(self) -> list[tuple[int, int]]:
         """(parent, child) pairs in BFS order from the root."""
-        p = self._require_params()
-        order = []
-        seen = {p.root}
-        queue = [p.root]
-        while queue:
-            u = queue.pop(0)
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    order.append((u, v))
-                    queue.append(v)
-        return order
+        return bfs_edges(self._adj, self._require_params().root)
 
     def node_marginal(self, v: int) -> np.ndarray:
         p = self._require_params()
@@ -321,16 +322,8 @@ def reroot(tree: LatentTree, new_root: int) -> LatentTree:
     p = tree._require_params()
     if new_root not in tree.hidden:
         raise ModelError(f"{new_root} is not a hidden node")
-    cpts = {}
-    seen = {new_root}
-    queue = [new_root]
-    while queue:
-        u = queue.pop(0)
-        for v in tree.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                cpts[(u, v)] = tree.edge_conditional(u, v)
-                queue.append(v)
+    cpts = {(u, v): tree.edge_conditional(u, v)
+            for u, v in bfs_edges(tree._adj, new_root)}
     params = TreeParameters(n=p.n, k=p.k, root=new_root,
                             root_marginal=tree.node_marginal(new_root), cpts=cpts)
     return LatentTree(tree._adj, tree.leaf_names, params=params)

@@ -12,7 +12,8 @@ Format (one directive per line, ``#`` starts a comment):
                               one probability per parent state (columns are
                               conditioned on the parent state)
 
-Topology-only files omit root/marginal/cpt.
+Directives may come in any order; a cpt block ends at the first line that does
+not start with a number.  Topology-only files omit root/marginal/cpt.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ModelError, ParseError
-from .model import LatentTree, TreeParameters
+from .model import LatentTree, TreeParameters, bfs_edges
 
 
 def _tokens(path):
@@ -40,8 +41,8 @@ def read_model(path) -> LatentTree:
     edges: list[tuple[int, int]] = []
     root = None
     root_marginal = None
-    cpts: dict[tuple[int, int], np.ndarray] = {}
-    pending_cpt = None  # (parent, child, rows_needed, collected_rows)
+    cpts: dict[tuple[int, int], list] = {}
+    cpt_rows = None  # rows of the cpt block being read, if any
 
     def fail(msg, lineno):
         raise ParseError(msg, line=lineno)
@@ -59,15 +60,10 @@ def read_model(path) -> LatentTree:
             fail(f"expected an integer, got {text!r}", lineno)
 
     for lineno, fields in _tokens(path):
-        if pending_cpt is not None:
-            parent, child, rows_needed, collected = pending_cpt
-            collected.append(numbers(fields, lineno))
-            if len(collected) == rows_needed:
-                cpts[(parent, child)] = np.asarray(collected, dtype=float)
-                pending_cpt = None
-            else:
-                pending_cpt = (parent, child, rows_needed, collected)
+        if cpt_rows is not None and _is_number(fields[0]):
+            cpt_rows.append(numbers(fields, lineno))
             continue
+        cpt_rows = None
         keyword, args = fields[0], fields[1:]
         if keyword == "states":
             if len(args) != 2:
@@ -94,19 +90,16 @@ def read_model(path) -> LatentTree:
         elif keyword == "cpt":
             if len(args) != 2:
                 fail("cpt needs <parent> <child>", lineno)
-            if n is None:
-                fail("states must be declared before any cpt", lineno)
-            parent = integer(args[0], lineno)
-            child = integer(args[1], lineno)
-            rows = n if child in leaf_names else k
-            pending_cpt = (parent, child, rows, [])
+            cpt_rows = []
+            cpts[(integer(args[0], lineno), integer(args[1], lineno))] = cpt_rows
         else:
             fail(f"unknown directive {keyword!r}", lineno)
 
-    if pending_cpt is not None:
-        parent, child, rows_needed, collected = pending_cpt
-        raise ParseError(f"cpt {parent} {child} ended after "
-                         f"{len(collected)}/{rows_needed} rows")
+    for (parent, child), rows in cpts.items():
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
+            raise ParseError(f"cpt {parent} {child} needs one or more rows "
+                             f"of equal length")
+        cpts[(parent, child)] = np.asarray(rows, dtype=float)
     if not leaf_names or not edges:
         raise ParseError("model file must declare leaves and edges")
     adj: dict[int, list[int]] = {x: [] for x in set(leaf_names) | hidden}
@@ -122,10 +115,13 @@ def read_model(path) -> LatentTree:
             raise ParseError("parameterized model needs a states directive")
         if root is None or root_marginal is None:
             raise ParseError("parameterized model needs root and marginal")
+        if root not in hidden:
+            raise ParseError(f"root {root} is not a declared hidden node")
         params = TreeParameters(n=n, k=k, root=root,
                                 root_marginal=root_marginal, cpts=cpts)
-        # Every edge oriented away from the root must carry a table.
-        missing = _missing_cpts(adj, root, cpts)
+        # Every edge oriented away from the root must carry a table; table
+        # shapes are checked by TreeParameters.validate.
+        missing = sorted(e for e in bfs_edges(adj, root) if e not in cpts)
         if missing:
             raise ParseError(f"missing cpt directives for edges {missing}")
     try:
@@ -134,20 +130,12 @@ def read_model(path) -> LatentTree:
         raise ParseError(f"invalid model: {exc}") from exc
 
 
-def _missing_cpts(adj, root, cpts):
-    missing = []
-    seen = {root}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in adj.get(u, ()):
-            if v in seen:
-                continue
-            seen.add(v)
-            if (u, v) not in cpts:
-                missing.append((u, v))
-            queue.append(v)
-    return sorted(missing)
+def _is_number(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def write_model(tree: LatentTree, path) -> None:

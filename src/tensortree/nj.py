@@ -71,40 +71,29 @@ def neighbor_join(dist: np.ndarray, names) -> LatentTree:
     if d < 4:
         raise ValueError(f"need at least 4 variables, got {d}")
 
+    # One row per node of the final tree: d leaves and d - 2 hidden nodes.
+    full = np.zeros((2 * d - 2, 2 * d - 2))
+    full[:d, :d] = dist
     active = list(range(d))  # node ids of current clusters
     adj: dict[int, list[int]] = {i: [] for i in range(d)}
-    next_id = d
-    while len(active) > 3:
+    for h in range(d, 2 * d - 3):
         n_act = len(active)
-        sub = dist[np.ix_(active, active)]
+        sub = full[np.ix_(active, active)]
         r = sub.sum(axis=1)
-        q = (n_act - 2) * sub - r[:, None] - r[None, :]
-        np.fill_diagonal(q, np.inf)
-        # Lowest-index tie break on the (i, j) pair, i < j.
-        flat = np.round(q, 12)
-        best = None
-        for a in range(n_act):
-            for b in range(a + 1, n_act):
-                if best is None or flat[a, b] < flat[best]:
-                    best = (a, b)
-        a, b = best
-        h = next_id
-        next_id += 1
+        q = np.round((n_act - 2) * sub - r[:, None] - r[None, :], 12)
+        # Only pairs i < j compete; the row-major argmin is the lowest-index
+        # pair among ties.
+        q[np.tril_indices(n_act)] = np.inf
+        a, b = divmod(int(np.argmin(q)), n_act)
         adj[h] = [active[a], active[b]]
         adj[active[a]].append(h)
         adj[active[b]].append(h)
-        # Distance from the new cluster to every other active cluster.
-        grown = np.pad(dist, ((0, 1), (0, 1)))
-        for c in range(n_act):
-            if c in (a, b):
-                continue
-            val = 0.5 * (sub[a, c] + sub[b, c] - sub[a, b])
-            grown[h, active[c]] = grown[active[c], h] = val
-        dist = grown
-        keep = [x for idx, x in enumerate(active) if idx not in (a, b)]
+        rest = [c for c in range(n_act) if c not in (a, b)]
+        keep = [active[c] for c in rest]
+        full[h, keep] = full[keep, h] = 0.5 * (sub[a, rest] + sub[b, rest] - sub[a, b])
         active = keep + [h]
     # Join the last three clusters through one final hidden node.
-    h = next_id
+    h = 2 * d - 3
     adj[h] = list(active)
     for x in active:
         adj[x].append(h)

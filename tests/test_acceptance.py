@@ -14,7 +14,7 @@ from tensortree import (JointTensor4, QuartetRelation, build_tree,
                         robinson_foulds, to_newick)
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
                               dependence_limited_model, diagnostics,
-                              parameterize, perturbed_cpt,
+                              pairwise_tables, parameterize, perturbed_cpt,
                               random_quartet_model, random_topology,
                               random_tree_model, run_quartet_experiment,
                               with_dependence_scaled)
@@ -112,7 +112,7 @@ def test_independence_identities():
         worst_eq = max(worst_eq, abs(na - np.linalg.norm(b)))
         order_ok = order_ok and na <= min(nuclear_norm(b), nuclear_norm(c)) + 1e-12
         # The wrong unfoldings factor as Kronecker products of pairwise tables.
-        pairs = m.pairwise_tables()
+        pairs = pairwise_tables(t)
         worst_eq = max(worst_eq, float(np.abs(
             b - kronecker(pairs[(3, 4)], pairs[(1, 2)])).max()))
     report("independence-identities", worst_eq <= 1e-9 and order_ok,

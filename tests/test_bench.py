@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from tensortree import QuartetRelation, resolve_nuclear
+from tensortree import QuartetRelation, bench, resolve_nuclear, to_newick
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
                               ResultTable, TreeExperimentConfig,
                               dependence_limited_model, diagnostics,
                               identity_base, parameterize, parse_method,
                               perturb_stochastic, perturbed_cpt,
                               random_quartet_model, random_topology,
-                              random_tree_model, run_quartet_experiment,
-                              run_tree_experiment, uniform_base,
-                              with_dependence_scaled)
+                              random_tree_model, recover,
+                              run_quartet_experiment, run_tree_experiment,
+                              uniform_base, with_dependence_scaled)
 from tensortree.exceptions import ModelError
+from tensortree.model import sample
 from tensortree.tensors import kronecker, nuclear_norm, unfold
 
 
@@ -222,6 +223,46 @@ class TestHarness:
         table.add("nj", 10, 1, 1.0, 1.0)
         mean, _, count = table.summarize()[("nj", 10)]
         assert mean == 1.0 and count == 1
+
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(tensor):
+            raise RuntimeError("bug in a resolver")
+        monkeypatch.setattr(bench, "resolve_nuclear", broken)
+        with pytest.raises(RuntimeError):
+            run_quartet_experiment(QuartetExperimentConfig(
+                2, 2, 3, 0.5, (50,), 1, ("tensor",)))
+        with pytest.raises(RuntimeError):
+            run_tree_experiment(TreeExperimentConfig(
+                4, 0.5, (2, 2), 3, 0.5, (50,), 1, ("tensor",)))
+
+
+class TestRecover:
+    # Trees built from one seeded sample set, recorded before the build paths
+    # of the CLI and the harness were merged: the same seeds must keep giving
+    # the same trees.
+    GOLDEN = {
+        "tensor": "((((X0,X5)H1,X8)H2,X11)H3,((X1,X2)H4,((X3,X9)H5,X4)H6)H7,"
+                  "((X10,X7)H8,X6)H9)H10;",
+        "spectral@2": "((((X0,X5)H1,X8)H2,X6)H3,((X1,X2)H4,(X10,X7)H5)H6,"
+                      "(X11,((X3,X9)H7,X4)H8)H9)H10;",
+        "nj": "(((X0,X5)H1,(((X10,X7)H2,X6)H3,X8)H4)H5,(((X1,X2)H6,X11)H7,X4)H8,"
+              "(X3,X9)H9)H10;",
+        "oracle": "((((X0,X5)H1,X8)H2,((X10,X7)H3,X6)H4)H5,((X1,X2)H6,X11)H7,"
+                  "((X3,X9)H8,X4)H9)H10;",
+    }
+
+    def test_golden_newick(self):
+        truth = random_tree_model(12, 0.5, 4, 3, 0.5, 5, hidden_base="identity")
+        samples = sample(truth, 2000, 6)
+        for method, newick in self.GOLDEN.items():
+            assert to_newick(recover(samples, method, 7, truth=truth)) == newick
+        assert self.GOLDEN["oracle"] == to_newick(truth)
+
+    def test_oracle_needs_truth(self):
+        samples = sample(random_tree_model(4, 0.5, 3, 2, 0.5, 1), 10, 2)
+        with pytest.raises(ValueError):
+            recover(samples, "oracle", 0)
 
 
 class TestParameterize:

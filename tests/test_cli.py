@@ -58,6 +58,16 @@ class TestQuartetBench:
         manifest = json.loads((tmp_path / "q.csv.manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TENSORTREE_SEED", "abc")
+        out = tmp_path / "q.csv"
+        code = main(["quartet-bench", "--kh", "2", "--kg", "2", "--n", "4",
+                     "--mu", "0.5", "--samples", "50", "--trials", "1",
+                     "--methods", "oracle", "--out", str(out)])
+        assert code == 2
+        assert "TENSORTREE_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTreeBench:
     def test_row_count_and_oracle(self, tmp_path):

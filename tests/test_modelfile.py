@@ -20,6 +20,23 @@ class TestRoundTrip:
         assert d1.alpha_min == pytest.approx(d2.alpha_min, abs=1e-12)
         assert d1.delta == pytest.approx(d2.delta, abs=1e-12)
 
+    def test_directives_in_any_order(self, tmp_path):
+        tree = random_tree_model(6, 0.5, 4, 2, 0.7, 1)
+        path = tmp_path / "m.txt"
+        write_model(tree, path)
+        lines = path.read_text().splitlines()
+        # cpt blocks first, then the other directives in reverse order.
+        first_cpt = next(i for i, line in enumerate(lines) if line.startswith("cpt"))
+        path.write_text("\n".join(lines[first_cpt:] + lines[:first_cpt][::-1]) + "\n")
+        back = read_model(path)
+        assert back.edges() == tree.edges()
+        assert back.leaf_names == tree.leaf_names
+        assert back.params.root == tree.params.root
+        assert np.array_equal(back.params.root_marginal, tree.params.root_marginal)
+        assert back.params.cpts.keys() == tree.params.cpts.keys()
+        for edge, cpt in tree.params.cpts.items():
+            assert np.array_equal(back.params.cpts[edge], cpt)
+
     def test_topology_only(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text(
@@ -46,6 +63,15 @@ class TestErrors:
         path.write_text("\n".join(text[:-1]) + "\n")
         with pytest.raises(ParseError):
             read_model(path)
+
+    def test_ragged_cpt(self, tmp_path):
+        tree = random_tree_model(4, 0.5, 3, 2, 0.5, 2)
+        path = tmp_path / "m.txt"
+        write_model(tree, path)
+        path.write_text(path.read_text().rstrip("\n") + " 0.5\n")
+        with pytest.raises(ParseError) as err:
+            read_model(path)
+        assert "equal length" in str(err.value)
 
     def test_missing_cpts(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -26,6 +26,36 @@ def path_additive_matrix(tree, seed):
     return out
 
 
+def reference_nj_edges(dist):
+    """Edges of neighbor joining with a per-pair scan and a matrix regrown on
+    every join; the vectorized version must give the same node ids."""
+    dist = np.where(np.isinf(dist), INFINITE_SENTINEL, np.array(dist, dtype=float))
+    d = dist.shape[0]
+    active = list(range(d))
+    edges = []
+    h = d
+    while len(active) > 3:
+        n_act = len(active)
+        sub = dist[np.ix_(active, active)]
+        r = sub.sum(axis=1)
+        q = np.round((n_act - 2) * sub - r[:, None] - r[None, :], 12)
+        best = (0, 1)
+        for a, b in itertools.combinations(range(n_act), 2):
+            if q[a, b] < q[best]:
+                best = (a, b)
+        a, b = best
+        edges += [(active[a], h), (active[b], h)]
+        grown = np.pad(dist, ((0, 1), (0, 1)))
+        for c in range(n_act):
+            if c not in (a, b):
+                grown[h, active[c]] = grown[active[c], h] = \
+                    0.5 * (sub[a, c] + sub[b, c] - sub[a, b])
+        dist = grown
+        active = [x for i, x in enumerate(active) if i not in (a, b)] + [h]
+        h += 1
+    return sorted(edges + [(x, h) for x in active])
+
+
 class TestAdditiveDistance:
     def test_deterministic_copy_zero(self):
         n = 4
@@ -116,6 +146,17 @@ class TestNeighborJoin:
         bad[0, 1] = 2.0  # asymmetric
         with pytest.raises(ValueError):
             neighbor_join(bad, list("abcd"))
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(3)
+        for d in range(4, 13):
+            # Small integers give many ties in the joining criterion.
+            for upper in (rng.integers(1, 4, (d, d)), rng.uniform(0, 5, (d, d))):
+                dist = np.triu(upper.astype(float), 1)
+                dist = dist + dist.T
+                dist[0, d - 1] = dist[d - 1, 0] = np.inf
+                built = neighbor_join(dist, [f"X{i}" for i in range(d)])
+                assert built.edges() == reference_nj_edges(dist)
 
     def test_sentinel_magnitude(self):
         assert INFINITE_SENTINEL > 1e9

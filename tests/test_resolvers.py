@@ -6,7 +6,8 @@ import pytest
 from tensortree import (JointTensor4, QuartetRelation, quartet_tree,
                         resolve_nuclear, resolve_oracle, resolve_spectral_k)
 from tensortree.bench import (dependence_limited_model, diagnostics,
-                              random_quartet_model, random_topology)
+                              pairwise_tables, random_quartet_model,
+                              random_topology)
 from tensortree.exceptions import ModelError
 from tensortree.resolvers import PAIR_KEYS
 from tensortree.tensors import kronecker
@@ -44,7 +45,7 @@ class TestNuclear:
         from dataclasses import replace
         indep = replace(model, joint_hidden=np.outer(ph, pg))
         v = resolve_nuclear(indep.exact_tensor())
-        pairs = indep.pairwise_tables()
+        pairs = pairwise_tables(indep.exact_tensor())
         expected = np.linalg.norm(kronecker(pairs[(3, 4)], pairs[(1, 2)]))
         assert v.scores[v.relation - 1] == pytest.approx(expected, abs=1e-9)
 
@@ -68,7 +69,7 @@ class TestSpectralK:
         agree = 0
         for seed in range(30):
             model = dependence_limited_model(3, 3, 6, 0.8, [100, seed])
-            pairs = model.pairwise_tables()
+            pairs = pairwise_tables(model.exact_tensor())
             vs = resolve_spectral_k(pairs, 3)
             vn = resolve_nuclear(model.exact_tensor())
             if vn.relation == QuartetRelation.PAIR_12_34:
