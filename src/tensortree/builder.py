@@ -1,11 +1,12 @@
 """Divide-and-conquer tree construction from a quartet resolver.
 
 The builder starts from a single quartet and inserts the remaining leaves one
-at a time.  For each insertion it narrows down the attachment edge by
-repeatedly picking a hidden node that splits the candidate edges as evenly as
-possible, testing which of the three directions the new leaf belongs to, and
-recursing into that direction.  Each test removes at least half of the
-candidate edges, so an insertion costs O(log d) resolver calls.
+at a time into a mutable adjacency.  The candidate edges for a new leaf form a
+connected region; one pass over it counts the region edges below each node,
+which gives every node's three direction counts.  The node splitting them most
+evenly is tested for the direction the new leaf belongs to, and the region
+shrinks to that direction.  Each test removes at least half of the candidates,
+so an insertion costs O(log d) resolver calls.
 """
 
 from __future__ import annotations
@@ -44,15 +45,19 @@ def _call_resolver(resolver, quartet, trace: BuildTrace) -> QuartetRelation:
 def choose_balanced_root(tree: LatentTree) -> int:
     """Hidden node minimizing the largest leaf count among its three branches;
     ties broken by lowest node id."""
-    hidden = tree.hidden
-    if not hidden:
+    if not tree.hidden:
         raise ValueError("tree has no hidden node")
-    best, best_score = None, None
-    for h in hidden:
-        score = max(len(tree.leaves_in(comp)) for comp in tree.directions(h).values())
-        if best_score is None or score < best_score:
-            best, best_score = h, score
-    return best
+    return min(tree.hidden, key=lambda h: (
+        max(len(tree.leaves_in(comp)) for comp in tree.directions(h).values()), h))
+
+
+def _subdivide(adj: dict, u: int, v: int, fresh: int, new_leaf: int) -> None:
+    """Put ``fresh`` on edge (u, v) and hang ``new_leaf`` off it, in place."""
+    for a, b in ((u, v), (v, u)):
+        adj[a][adj[a].index(b)] = fresh
+        adj[a].sort()
+    adj[fresh] = sorted((u, v, new_leaf))
+    adj[new_leaf] = [fresh]
 
 
 def insert_leaf(tree: LatentTree, sibling_edge: tuple[int, int], new_leaf: int,
@@ -63,72 +68,61 @@ def insert_leaf(tree: LatentTree, sibling_edge: tuple[int, int], new_leaf: int,
         raise ValueError(f"edge {sibling_edge} not in tree")
     if new_leaf in tree.nodes():
         raise ValueError(f"node id {new_leaf} already present")
-    fresh = max(max(tree.nodes()), new_leaf) + 1
-    adj = {x: [y for y in tree.neighbors(x)] for x in tree.nodes()}
-    adj[u].remove(v)
-    adj[v].remove(u)
-    adj[u].append(fresh)
-    adj[v].append(fresh)
-    adj[fresh] = [u, v, new_leaf]
-    adj[new_leaf] = [fresh]
-    names = dict(tree.leaf_names)
-    names[new_leaf] = name if name is not None else f"X{new_leaf}"
-    return LatentTree(adj, names)
+    adj = {x: list(tree.neighbors(x)) for x in tree.nodes()}
+    _subdivide(adj, u, v, max(max(adj), new_leaf) + 1, new_leaf)
+    name = name if name is not None else f"X{new_leaf}"
+    return LatentTree(adj, {**tree.leaf_names, new_leaf: name})
 
 
-def _remove_leaf(tree: LatentTree, leaf: int) -> LatentTree:
-    """Inverse of :func:`insert_leaf`: drop a leaf and contract its hidden node."""
-    (h,) = tree.neighbors(leaf)
-    u, v = [x for x in tree.neighbors(h) if x != leaf]
-    adj = {x: [y for y in tree.neighbors(x)] for x in tree.nodes()
-           if x not in (leaf, h)}
-    adj[u] = [x if x != h else v for x in adj[u]]
-    adj[v] = [x if x != h else u for x in adj[v]]
-    names = {k: s for k, s in tree.leaf_names.items() if k != leaf}
-    return LatentTree(adj, names)
-
-
-def _direction_edges(tree: LatentTree, center: int, neighbor: int) -> frozenset:
-    comp = tree.component(neighbor, center)
-    edges = {frozenset((center, neighbor))}
-    for x in comp:
-        for y in tree.neighbors(x):
-            if y in comp:
-                edges.add(frozenset((x, y)))
-    return frozenset(edges)
-
-
-def _locate_edge(tree: LatentTree, new_leaf: int, resolver, rng, trace: BuildTrace,
-                 ) -> tuple[int, int]:
+def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
+                 trace: BuildTrace) -> tuple[int, int]:
     """Find the attachment edge for a new leaf with O(log d) quartet tests."""
-    candidates = {frozenset(e) for e in tree.edges()}
+    # Orient the tree once; each direction of a node is then one slice of the
+    # preorder, or two.
+    order, parent, stack = [], {}, [(next(iter(adj)), None)]
+    while stack:
+        u, parent[u] = stack.pop()
+        order.append(u)
+        stack.extend((v, u) for v in adj[u] if v != parent[u])
+    pos = {u: i for i, u in enumerate(order)}
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+
+    def side(h: int, v: int) -> list[int]:
+        """Nodes in the direction of neighbour v of h, in preorder."""
+        if parent[v] == h:
+            return order[pos[v]:pos[v] + size[v]]
+        return order[:pos[h]] + order[pos[h] + size[h]:]
+
+    # The candidate edges are those inside ``region``, a connected node set in
+    # preorder: its first node is its top and holds every other node's parent.
+    region = order
     depth = 0
-    while len(candidates) > 1:
-        # Hidden node whose three directions split the candidates most evenly.
-        best, best_score = None, None
-        for h in tree.hidden:
-            per_dir = [len(candidates & _direction_edges(tree, h, nb))
-                       for nb in tree.neighbors(h)]
-            score = max(per_dir)
-            if best_score is None or score < best_score:
-                best, best_score = h, score
+    while len(region) > 2:
+        n_edges = len(region) - 1
+        below = dict.fromkeys(region, 0)  # region edges under each node
+        heavy = dict.fromkeys(region, 0)  # most candidates toward one child
+        for u in reversed(region[1:]):
+            below[parent[u]] += below[u] + 1
+            heavy[parent[u]] = max(heavy[parent[u]], below[u] + 1)
+        # Toward the parent lie n_edges - below[h] candidates, outside the
+        # region none.  Take the most even split, ties to the lowest id; a node
+        # with one region edge scores n_edges, which an inner node beats.
+        best = min(region, key=lambda h: (max(heavy[h], n_edges - below[h]), h))
         reps = []
-        dir_edge_sets = []
-        for nb in tree.neighbors(best):
-            comp = tree.component(nb, best)
-            leaves = tree.leaves_in(comp)
-            reps.append(leaves[rng.integers(len(leaves))])
-            dir_edge_sets.append(candidates & _direction_edges(tree, best, nb))
+        for v in adj[best]:
+            dir_leaves = sorted(leaves.intersection(side(best, v)))
+            reps.append(dir_leaves[rng.integers(len(dir_leaves))])
         rel = _call_resolver(resolver, (new_leaf, *reps), trace)
         depth += 1
-        candidates = dir_edge_sets[int(rel) - 1]
-        if not candidates:
-            # The test pointed at a direction already ruled out; fall back to
-            # the boundary edge of that direction so the build can continue.
-            candidates = {frozenset((best, tree.neighbors(best)[int(rel) - 1]))}
+        nb = adj[best][int(rel) - 1]
+        # Region nodes keep three edges, or one at the boundary: no empty direction.
+        assert nb in region
+        keep = set(side(best, nb))
+        region = [u for u in region if u == best or u in keep]
     trace.insertion_depths.append(depth)
-    (edge,) = candidates
-    return tuple(sorted(edge))
+    return tuple(sorted(region))
 
 
 def build_tree(resolver: Callable, variables: Sequence[int], seed=0,
@@ -156,8 +150,11 @@ def build_tree(resolver: Callable, variables: Sequence[int], seed=0,
     first = order[:4]
     rel = _call_resolver(resolver, tuple(first), trace)
     trace.insertion_depths.append(1)
-    tree = quartet_tree(first, rel, names=names, hidden_start=max(order) + 1)
+    start = quartet_tree(first, rel, names=names, hidden_start=max(order) + 1)
+    adj = {u: list(start.neighbors(u)) for u in start.nodes()}
+    leaves = set(first)
     for x in order[4:]:
-        edge = _locate_edge(tree, x, resolver, rng, trace)
-        tree = insert_leaf(tree, edge, x, name=names[x])
-    return tree, trace
+        u, v = _locate_edge(adj, leaves, x, resolver, rng, trace)
+        _subdivide(adj, u, v, max(max(adj), x) + 1, x)
+        leaves.add(x)
+    return LatentTree(adj, {v: names[v] for v in order}), trace

@@ -39,7 +39,8 @@ class TreeParameters:
         if self.root not in tree.hidden:
             raise ModelError(f"root {self.root} is not a hidden node")
         pm = np.asarray(self.root_marginal, dtype=float)
-        if pm.shape != (self.k,) or abs(pm.sum() - 1.0) > 1e-9 or np.any(pm < 0):
+        # Here and below, NaN and -inf fail ``>= 0`` and +inf fails the sum test.
+        if pm.shape != (self.k,) or not np.all(pm >= 0) or abs(pm.sum() - 1.0) > 1e-9:
             raise ModelError("root marginal must be a length-k probability vector")
         for (parent, child), cpt in self.cpts.items():
             rows = self.n if tree.is_leaf(child) else self.k
@@ -49,7 +50,7 @@ class TreeParameters:
                 raise ModelError(
                     f"CPT for edge {parent}->{child} has shape {cpt.shape}, "
                     f"expected {(rows, cols)}")
-            if np.any(cpt < 0) or np.max(np.abs(cpt.sum(axis=0) - 1.0)) > 1e-12:
+            if not np.all(cpt >= 0) or np.max(np.abs(cpt.sum(axis=0) - 1.0)) > 1e-12:
                 raise ModelError(
                     f"CPT for edge {parent}->{child} is not column-stochastic")
 

@@ -9,12 +9,80 @@ from tensortree import (QuartetRelation, build_tree, choose_balanced_root,
                         insert_leaf, quartet_tree, resolve_oracle,
                         robinson_foulds)
 from tensortree.bench import random_topology
-from tensortree.builder import _remove_leaf
 from tensortree.model import LatentTree
 
 
 def oracle_resolver(tree):
     return lambda a, b, c, d: resolve_oracle(tree, (a, b, c, d))
+
+
+def random_resolver(seed):
+    """Adversarial resolver: a seeded random relation for every quartet."""
+    rng = np.random.default_rng(seed)
+    return lambda *quartet: QuartetRelation(int(rng.integers(1, 4)))
+
+
+def _direction_edges(tree, center, neighbor):
+    comp = tree.component(neighbor, center)
+    edges = {frozenset((center, neighbor))}
+    for x in comp:
+        for y in tree.neighbors(x):
+            if y in comp:
+                edges.add(frozenset((x, y)))
+    return frozenset(edges)
+
+
+def _reference_insert(tree, u, v, leaf):
+    fresh = max(max(tree.nodes()), leaf) + 1
+    adj = {x: list(tree.neighbors(x)) for x in tree.nodes()}
+    adj[u].remove(v)
+    adj[v].remove(u)
+    adj[u].append(fresh)
+    adj[v].append(fresh)
+    adj[fresh] = [u, v, leaf]
+    adj[leaf] = [fresh]
+    return LatentTree(adj, {**tree.leaf_names, leaf: f"X{leaf}"})
+
+
+def reference_build(resolver, variables, seed=0, shuffle=False):
+    """The per-step search written plainly: the candidates as a set of edges,
+    graph walks for every hidden node and direction at every step, and a
+    ``LatentTree`` rebuilt on every insertion.  Returns the tree, the verdicts
+    and the insertion depths."""
+    order = [int(v) for v in variables]
+    rng = np.random.default_rng(seed)
+    if shuffle:
+        rng.shuffle(order)
+    verdicts, depths = [], [1]
+
+    def ask(quartet):
+        rel = QuartetRelation(resolver(*quartet))
+        verdicts.append((tuple(quartet), rel))
+        return rel
+
+    tree = quartet_tree(order[:4], ask(order[:4]), hidden_start=max(order) + 1)
+    for x in order[4:]:
+        candidates = {frozenset(e) for e in tree.edges()}
+        depth = 0
+        while len(candidates) > 1:
+            best, best_score = None, None
+            for h in tree.hidden:
+                score = max(len(candidates & _direction_edges(tree, h, nb))
+                            for nb in tree.neighbors(h))
+                if best_score is None or score < best_score:
+                    best, best_score = h, score
+            reps = []
+            for nb in tree.neighbors(best):
+                leaves = tree.leaves_in(tree.component(nb, best))
+                reps.append(leaves[rng.integers(len(leaves))])
+            rel = ask((x, *reps))
+            depth += 1
+            chosen = tree.neighbors(best)[int(rel) - 1]
+            candidates &= _direction_edges(tree, best, chosen)
+        depths.append(depth)
+        (edge,) = candidates  # an empty set here would mean a dead end
+        tree = _reference_insert(tree, *sorted(edge), x)
+    return tree, verdicts, depths
 
 
 def caterpillar(d):
@@ -112,11 +180,12 @@ class TestInsertLeaf:
         for a, b in itertools.combinations(results, 2):
             assert robinson_foulds(a, b) > 0
 
-    def test_remove_restores(self):
-        t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
-        for edge in t.edges():
-            t2 = insert_leaf(t, edge, 9)
-            assert robinson_foulds(_remove_leaf(t2, 9), t) == 0
+    def test_insert_keeps_original_quartet(self):
+        for rel in QuartetRelation:
+            t = quartet_tree([0, 1, 2, 3], rel)
+            for edge in t.edges():
+                t2 = insert_leaf(t, edge, 9)
+                assert resolve_oracle(t2, (0, 1, 2, 3)) == rel
 
     def test_duplicate_leaf_rejected(self):
         t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
@@ -136,3 +205,34 @@ class TestTrace:
         assert trace.quartet_test_count == len(trace.verdicts)
         assert len(trace.insertion_depths) == 16 - 3
         assert trace.quartet_test_count == sum(trace.insertion_depths)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("d", [5, 8, 13, 32])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("kind", ["oracle", "random"])
+    def test_same_verdicts_depths_and_edges(self, d, shuffle, kind):
+        for seed in range(3):
+            truth = random_topology(d, 0.5, seed)
+
+            def resolver():
+                if kind == "oracle":
+                    return oracle_resolver(truth)
+                return random_resolver(seed + 100)
+
+            built, trace = build_tree(resolver(), truth.leaves, seed=seed,
+                                      shuffle=shuffle)
+            ref, verdicts, depths = reference_build(resolver(), truth.leaves,
+                                                    seed=seed, shuffle=shuffle)
+            assert trace.verdicts == verdicts
+            assert trace.insertion_depths == depths
+            assert built.edges() == ref.edges()
+
+    @pytest.mark.parametrize("d", [5, 8, 13, 32, 64])
+    def test_adversarial_verdicts_give_binary_tree(self, d):
+        for seed in range(5):
+            built, _ = build_tree(random_resolver(seed), range(d), seed=seed,
+                                  shuffle=True)
+            assert built.leaves == list(range(d))
+            assert len(built.hidden) == d - 2
+            assert all(len(built.neighbors(h)) == 3 for h in built.hidden)

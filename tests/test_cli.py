@@ -171,6 +171,17 @@ class TestDiagnose:
         assert main(["diagnose", "--model", str(model),
                      "--out", str(tmp_path / "d.csv")]) == 3
 
+    def test_nan_marginal_is_data_error(self, tmp_path, capsys):
+        tree = random_tree_model(4, 0.5, 3, 2, 0.5, 2)
+        model = tmp_path / "model.txt"
+        write_model(tree, model)
+        lines = ["marginal nan nan" if line.startswith("marginal") else line
+                 for line in model.read_text().splitlines()]
+        model.write_text("\n".join(lines) + "\n")
+        assert main(["diagnose", "--model", str(model),
+                     "--out", str(tmp_path / "d.csv")]) == 3
+        assert "probability vector" in capsys.readouterr().err
+
     def test_missing_model_file(self, tmp_path):
         assert main(["diagnose", "--model", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "d.csv")]) == 3

@@ -73,6 +73,21 @@ class TestErrors:
             read_model(path)
         assert "equal length" in str(err.value)
 
+    def test_nan_probabilities(self, tmp_path):
+        tree = random_tree_model(4, 0.5, 3, 2, 0.5, 2)
+        path = tmp_path / "m.txt"
+        write_model(tree, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("marginal"))
+        nan_marginal = lines[:at] + ["marginal nan nan"] + lines[at + 1:]
+        path.write_text("\n".join(nan_marginal) + "\n")
+        with pytest.raises(ParseError):
+            read_model(path)
+        nan_cpt = lines[:-1] + [" ".join(["nan"] * len(lines[-1].split()))]
+        path.write_text("\n".join(nan_cpt) + "\n")
+        with pytest.raises(ParseError):
+            read_model(path)
+
     def test_missing_cpts(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text(
