@@ -8,6 +8,7 @@ Uniform[0, mu] noise and renormalizing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -431,10 +432,11 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
         def resolver(a, b, c, dd):
             return resolve_nuclear(empirical_quartet_tensor(samples, (a, b, c, dd)))
     else:
+        table = functools.cache(lambda i, j: empirical_pairwise(samples, i, j))
+
         def resolver(a, b, c, dd):
             ids = (a, b, c, dd)
-            pairs = {(i, j): empirical_pairwise(samples, ids[i - 1], ids[j - 1])
-                     for i, j in PAIR_KEYS}
+            pairs = {(i, j): table(ids[i - 1], ids[j - 1]) for i, j in PAIR_KEYS}
             return resolve_spectral_k(pairs, spectral_k)
     tree, _ = build_tree(resolver, range(d), seed=seed,
                          names=dict(enumerate(samples.variable_names)))

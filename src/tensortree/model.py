@@ -174,10 +174,6 @@ class LatentTree:
                     stack.append(y)
         return seen
 
-    def directions(self, v: int) -> dict[int, set[int]]:
-        """For each neighbor of v, the component of the tree in that direction."""
-        return {nb: self.component(nb, v) for nb in self._adj[v]}
-
     def leaves_in(self, nodes: set[int]) -> list[int]:
         return sorted(x for x in nodes if x in self.leaf_names)
 
@@ -352,6 +348,9 @@ class SampleSet:
         if rows.min() < 1 or rows.max() > self.n_states:
             raise ValueError(f"states must lie in 1..{self.n_states}")
         self.rows = rows
+        # Tables are counted from ``columns``, 0-based; cast, then shift: no int64 copy.
+        self.columns = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(self.n_states))
+        self.columns -= 1
 
     @property
     def m(self) -> int:
@@ -388,7 +387,10 @@ class SampleSet:
                     raise ParseError("non-integer state value", line=lineno) from None
         if not rows:
             raise ParseError("sample file has no data rows", line=2)
-        arr = np.asarray(rows, dtype=np.int64)
+        try:
+            arr = np.asarray(rows, dtype=np.int64)
+        except OverflowError:
+            raise ParseError("state value does not fit in a 64-bit integer") from None
         if arr.min() < 1:
             raise ParseError("states must be 1-based positive integers")
         return cls(rows=arr, variable_names=names, n_states=int(arr.max()))
@@ -415,22 +417,28 @@ def sample(tree: LatentTree, m: int, seed) -> SampleSet:
                      n_states=p.n)
 
 
+def _frequencies(samples: SampleSet, idx: tuple[int, ...], n: int | None) -> np.ndarray:
+    """Relative-frequency table of columns ``idx``, one axis of length n each."""
+    if min(idx) < 0 or max(idx) >= samples.d:
+        raise ValueError(f"column index out of range 0..{samples.d - 1}")
+    n = samples.n_states if n is None else int(n)
+    cols = samples.columns[list(idx)]
+    # Stored states are below n_states; only a smaller n needs a scan.
+    if n < samples.n_states and cols.max() >= n:
+        raise ValueError(f"state out of range 1..{n} in selected columns")
+    flat = cols[0].astype(np.intp)  # the flat index overflows the store's dtype
+    for c in cols[1:]:
+        flat = flat * n + c
+    return np.bincount(flat, minlength=n ** len(idx)).reshape((n,) * len(idx)) / samples.m
+
+
 def empirical_quartet_tensor(samples: SampleSet, idx: Sequence[int],
                              n: int | None = None) -> JointTensor4:
     """Relative-frequency 4-way table of four sample columns; no smoothing."""
     idx = tuple(int(i) for i in idx)
-    if len(set(idx)) != 4:
+    if len(idx) != 4 or len(set(idx)) != 4:
         raise ValueError(f"need four distinct column indices, got {idx}")
-    if min(idx) < 0 or max(idx) >= samples.d:
-        raise ValueError(f"column index out of range 0..{samples.d - 1}")
-    n = samples.n_states if n is None else int(n)
-    cols = samples.rows[:, idx] - 1
-    if cols.min() < 0 or cols.max() >= n:
-        raise ValueError(f"state out of range 1..{n} in selected columns")
-    flat = np.ravel_multi_index((cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]),
-                                (n, n, n, n))
-    counts = np.bincount(flat, minlength=n ** 4).reshape(n, n, n, n)
-    return JointTensor4(counts / samples.m, kind="empirical")
+    return JointTensor4(_frequencies(samples, idx, n), kind="empirical")
 
 
 def empirical_pairwise(samples: SampleSet, i: int, j: int,
@@ -438,8 +446,4 @@ def empirical_pairwise(samples: SampleSet, i: int, j: int,
     """Relative-frequency pairwise table of two sample columns."""
     if i == j:
         raise ValueError("need two distinct column indices")
-    n = samples.n_states if n is None else int(n)
-    ci = samples.rows[:, i] - 1
-    cj = samples.rows[:, j] - 1
-    flat = ci * n + cj
-    return np.bincount(flat, minlength=n * n).reshape(n, n) / samples.m
+    return _frequencies(samples, (int(i), int(j)), n)

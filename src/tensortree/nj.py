@@ -17,6 +17,8 @@ from .model import LatentTree
 
 # Stand-in for an infinite distance; far above any finite value at n <= 20.
 INFINITE_SENTINEL = 1e12
+# Pairs per batch of determinants in distance_matrix; bounds the stacked copy.
+_CHUNK = 1024
 
 
 def additive_distance(p_ij: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> float:
@@ -40,12 +42,26 @@ def distance_matrix(pair_tables, marginals) -> np.ndarray:
     """Symmetric distance matrix from per-pair tables and per-variable marginals.
 
     ``pair_tables[(i, j)]`` with i < j holds P(X_i, X_j); singular tables give
-    +inf entries.
+    +inf entries.  Each entry equals :func:`additive_distance` of its pair.
     """
-    d = len(marginals)
-    out = np.zeros((d, d))
-    for (i, j), table in pair_tables.items():
-        out[i, j] = out[j, i] = additive_distance(table, marginals[i], marginals[j])
+    margs = np.array(marginals, dtype=float)
+    out = np.zeros((len(margs), len(margs)))
+    keys = list(pair_tables)  # the dict's own key tuples: no per-pair copies
+    # A zero marginal entry's -inf only meets singular tables, which are masked.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_log = np.array([0.5 * np.sum(np.log(p)) for p in margs])
+        for start in range(0, len(keys), _CHUNK):
+            chunk = [pair_tables[key] for key in keys[start:start + _CHUNK]]
+            if {np.shape(t) for t in chunk} != {margs.shape[1:] * 2}:
+                raise ValueError("table and marginal shapes are inconsistent")
+            tables = np.array(chunk, dtype=float)
+            i, j = np.array(keys[start:start + _CHUNK]).T
+            gaps = (tables.sum(axis=2) - margs[i], tables.sum(axis=1) - margs[j])
+            if any(np.max(np.abs(g)) > 1e-9 for g in gaps):
+                raise ValueError("pairwise table margins do not match the marginals")
+            sign, logdet = np.linalg.slogdet(tables)
+            out[i, j] = out[j, i] = np.where((sign != 0) & np.isfinite(logdet),
+                                             half_log[i] + half_log[j] - logdet, math.inf)
     return out
 
 

@@ -143,7 +143,24 @@ class TestBuildTree:
         assert robinson_foulds(built, truth) == 0
 
 
+def largest_branch(tree, h):
+    """Most leaves in one of the three branches at hidden node h."""
+    return max(len(tree.leaves_in(tree.component(nb, h))) for nb in tree.neighbors(h))
+
+
+def reference_balanced_root(tree):
+    """Three component walks per hidden node: the definition, kept as the
+    reference for the one-pass version."""
+    return min(tree.hidden, key=lambda h: (largest_branch(tree, h), h))
+
+
 class TestChooseBalancedRoot:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, seed):
+        for d in [*range(5, 257, 7), 256]:
+            t = random_topology(d, 0.5, seed)
+            assert choose_balanced_root(t) == reference_balanced_root(t), d
+
     def test_four_leaf_lowest_id(self):
         t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
         assert choose_balanced_root(t) == min(t.hidden)
@@ -151,19 +168,15 @@ class TestChooseBalancedRoot:
     def test_caterpillar_middle(self):
         t = caterpillar(6)
         root = choose_balanced_root(t)
-        best = min(max(len(t.leaves_in(c)) for c in t.directions(h).values())
-                   for h in t.hidden)
-        got = max(len(t.leaves_in(c)) for c in t.directions(root).values())
+        best = min(largest_branch(t, h) for h in t.hidden)
+        got = largest_branch(t, root)
         assert got == best == 3
 
     def test_star_of_cherries(self):
         # Four cherries hanging off two central hidden nodes.
         t = random_topology(8, 0.5, 17)
         root = choose_balanced_root(t)
-        score = max(len(t.leaves_in(c)) for c in t.directions(root).values())
-        assert score == min(
-            max(len(t.leaves_in(c)) for c in t.directions(h).values())
-            for h in t.hidden)
+        assert largest_branch(t, root) == min(largest_branch(t, h) for h in t.hidden)
 
 
 class TestInsertLeaf:

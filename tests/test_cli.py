@@ -126,6 +126,13 @@ class TestBuild:
         assert main(["build", "--input", str(csv),
                      "--out", str(tmp_path / "t.nwk")]) == 3
 
+    def test_state_beyond_int64_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_text("a,b,c,d\n1,1,1,1\n1,99999999999999999999,1,1\n")
+        assert main(["build", "--input", str(csv),
+                     "--out", str(tmp_path / "t.nwk")]) == 3
+        assert "64-bit" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["build", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "t.nwk")]) == 3

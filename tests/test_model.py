@@ -169,6 +169,66 @@ class TestEmpirical:
         assert np.allclose(t.values.sum(axis=(1, 3)), p, atol=1e-12)
 
 
+def reference_counts(rows, idx, n):
+    """Counts of the joint states of columns ``idx`` by ``np.add.at``."""
+    counts = np.zeros((n,) * len(idx), dtype=np.int64)
+    np.add.at(counts, tuple(rows[:, i] - 1 for i in idx), 1)
+    return counts
+
+
+class TestCountsMatchReference:
+    # n = 17: n^2 > 255 and n^4 > 65,535, so a flat index in the store's
+    # uint8 (or a uint16) would wrap.
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_bitwise_equal(self, n):
+        rng = np.random.default_rng(n)
+        m = 3000
+        rows = rng.integers(1, n + 1, size=(m, 6))
+        s = SampleSet(rows=rows, variable_names=list("abcdef"), n_states=n)
+        for _ in range(10):
+            idx = tuple(int(i) for i in rng.choice(6, size=4, replace=False))
+            want = reference_counts(rows, idx, n) / m
+            assert np.array_equal(empirical_quartet_tensor(s, idx).values, want)
+            assert np.array_equal(empirical_pairwise(s, *idx[:2]),
+                                  reference_counts(rows, idx[:2], n) / m)
+
+    def test_larger_explicit_n_pads(self):
+        rows = np.array([[1, 2, 1, 2], [2, 2, 1, 1]])
+        s = SampleSet(rows=rows, variable_names=list("abcd"), n_states=2)
+        assert np.array_equal(empirical_pairwise(s, 0, 1, n=3),
+                              reference_counts(rows, (0, 1), 3) / 2)
+        assert np.array_equal(empirical_quartet_tensor(s, (0, 1, 2, 3), n=3).values,
+                              reference_counts(rows, (0, 1, 2, 3), 3) / 2)
+
+    def test_column_store_dtype(self):
+        s = SampleSet(rows=np.array([[1, 300, 1, 2]]), variable_names=list("abcd"),
+                      n_states=300)
+        assert s.columns.dtype == np.uint16 and s.columns.flags.c_contiguous
+        assert s.columns[:, 0].tolist() == [0, 299, 0, 1]
+
+
+class TestPairwiseValidation:
+    def samples(self):
+        return SampleSet(rows=np.array([[1, 2, 3, 1], [2, 1, 1, 3]]),
+                         variable_names=list("abcd"), n_states=3)
+
+    @pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (0, 4), (4, 1)])
+    def test_index_out_of_range(self, i, j):
+        with pytest.raises(ValueError, match="column index out of range 0..3"):
+            empirical_pairwise(self.samples(), i, j)
+
+    def test_state_above_explicit_n(self):
+        with pytest.raises(ValueError, match="state out of range 1..2"):
+            empirical_pairwise(self.samples(), 0, 2, n=2)
+        # Columns whose states all lie in 1..n are counted.
+        assert empirical_pairwise(self.samples(), 0, 1, n=2).tolist() == [
+            [0.0, 0.5], [0.5, 0.0]]
+
+    def test_same_column(self):
+        with pytest.raises(ValueError, match="two distinct"):
+            empirical_pairwise(self.samples(), 1, 1)
+
+
 class TestSampleCsv:
     def test_round_trip(self, small_tree, tmp_path):
         s = sample(small_tree, 50, 9)

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from tensortree import (additive_distance, distance_matrix, neighbor_join,
-                        pairwise_distribution, marginal, robinson_foulds)
+from tensortree import (SampleSet, additive_distance, distance_matrix,
+                        empirical_pairwise, neighbor_join, pairwise_distribution,
+                        marginal, robinson_foulds)
 from tensortree.bench import parameterize, random_topology
 from tensortree.nj import INFINITE_SENTINEL
 
@@ -96,6 +97,46 @@ class TestAdditiveDistance:
                            dist[(q[0], q[2])] + dist[(q[1], q[3])],
                            dist[(q[0], q[3])] + dist[(q[1], q[2])]])
             assert sums[2] - sums[1] <= 1e-6
+
+
+def sample_tables(d, m, seed):
+    """Pairwise tables and marginals of d correlated 3-state columns; column 7
+    is constant and column 20 uses two states, so their tables are singular."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(1, 4, m)
+    rows = np.where(rng.random((m, d)) < 0.6, base[:, None], rng.integers(1, 4, (m, d)))
+    rows[:, 7] = 1
+    rows[:, 20] = np.minimum(rows[:, 20], 2)
+    s = SampleSet(rows=rows, variable_names=[f"X{i}" for i in range(d)], n_states=3)
+    tables = {(i, j): empirical_pairwise(s, i, j)
+              for i, j in itertools.combinations(range(d), 2)}
+    marginals = [np.bincount(rows[:, i] - 1, minlength=3) / m for i in range(d)]
+    return tables, marginals
+
+
+class TestDistanceMatrix:
+    def test_matches_additive_distance_loop(self):
+        # 1,225 pairs: more than one batch of determinants.
+        tables, marginals = sample_tables(50, 400, 0)
+        ref = np.zeros((50, 50))
+        for (i, j), table in tables.items():
+            ref[i, j] = ref[j, i] = additive_distance(table, marginals[i], marginals[j])
+        got = distance_matrix(tables, marginals)
+        assert np.array_equal(got, ref)
+        assert np.isinf(got[7, 8]) and np.isinf(got[3, 20])
+        assert np.isfinite(got[0, 1])
+
+    def test_margin_mismatch_raises(self):
+        tables, marginals = sample_tables(50, 400, 1)
+        tables[(48, 49)] = tables[(48, 49)][::-1]  # in the second batch
+        with pytest.raises(ValueError, match="margins do not match the marginals"):
+            distance_matrix(tables, marginals)
+
+    def test_shape_mismatch_raises(self):
+        tables, marginals = sample_tables(30, 100, 2)
+        tables[(0, 1)] = np.full((2, 2), 0.25)
+        with pytest.raises(ValueError, match="shapes are inconsistent"):
+            distance_matrix(tables, marginals)
 
 
 class TestNeighborJoin:
