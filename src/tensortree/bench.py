@@ -22,8 +22,7 @@ from .exceptions import ModelError, TensorTreeError
 from .metrics import robinson_foulds
 from .model import (LatentTree, SampleSet, TreeParameters, bfs_edges,
                     empirical_pairwise, empirical_quartet_tensor,
-                    exact_quartet_distribution, pairwise_distribution,
-                    quartet_tree, sample)
+                    exact_quartet_distribution, pairwise_distribution, sample)
 from .nj import INFINITE_SENTINEL, additive_distance, distance_matrix, neighbor_join
 from .resolvers import (PAIR_KEYS, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
@@ -111,23 +110,6 @@ class QuartetModel:
         p1, p2, p3, p4 = self.obs_cpts
         values = np.einsum("ah,bh,hg,cg,dg->abcd", p1, p2, self.joint_hidden, p3, p4)
         return JointTensor4(values / values.sum(), kind="exact")
-
-    def as_tree(self) -> LatentTree:
-        """Parameterized 4-leaf tree; requires equal hidden cardinalities."""
-        if self.k_h != self.k_g:
-            raise ModelError("tree parameterization needs equal hidden cardinalities")
-        p_h, _ = self.hidden_marginals()
-        cond = np.zeros((self.k_g, self.k_h))
-        np.divide(self.joint_hidden.T, p_h[None, :], out=cond, where=p_h[None, :] > 0)
-        tree = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
-        h, g = tree.neighbors(0)[0], tree.neighbors(2)[0]
-        params = TreeParameters(
-            n=self.n, k=self.k_h, root=h, root_marginal=p_h,
-            cpts={(h, 0): self.obs_cpts[0], (h, 1): self.obs_cpts[1],
-                  (h, g): cond,
-                  (g, 2): self.obs_cpts[2], (g, 3): self.obs_cpts[3]})
-        return LatentTree({u: tree.neighbors(u) for u in tree.nodes()},
-                          tree.leaf_names, params=params)
 
 
 def pairwise_tables(tensor: JointTensor4) -> dict:

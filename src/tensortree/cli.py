@@ -1,6 +1,9 @@
 """Command-line interface: benchmarks, tree building, and model diagnostics.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+``build`` refuses, with exit 3, a sample file whose state count n would make
+a table of more than MAX_TABLE_BINS bins: n^4 for ``tensor``, n^2 for
+``spectral@K`` and ``nj``.
 The default seed can be overridden with the TENSORTREE_SEED environment
 variable (an integer; anything else is a usage error); an explicit --seed flag
 always wins.
@@ -33,6 +36,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+MAX_TABLE_BINS = 2 ** 20  # 8 MiB of float64: tensor allows n <= 32, the others n <= 1024
 
 
 def _int_list(text: str) -> list[int]:
@@ -186,6 +191,11 @@ def cmd_build(args) -> int:
         print(f"error: spectral rank {spectral_k} exceeds state count "
               f"{samples.n_states}", file=sys.stderr)
         return EXIT_USAGE
+    bins = samples.n_states ** (4 if kind == "tensor" else 2)
+    if bins > MAX_TABLE_BINS:
+        print(f"error: {samples.n_states} states make tables of {bins} bins for "
+              f"method {args.method}, over the limit of {MAX_TABLE_BINS}", file=sys.stderr)
+        return EXIT_DATA
     t0 = time.perf_counter()
     try:
         tree = recover(samples, args.method, args.seed)

@@ -6,7 +6,7 @@ from typing import FrozenSet
 
 from .builder import choose_balanced_root
 from .exceptions import ModelError, ParseError
-from .model import LatentTree
+from .model import LatentTree, bfs_edges
 
 _FORBIDDEN = set("(),;: \t\n")
 
@@ -46,13 +46,6 @@ def robinson_foulds(t1: LatentTree, t2: LatentTree) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _min_leaf_below(tree: LatentTree, node: int, parent: int) -> str:
-    if tree.is_leaf(node):
-        return tree.leaf_names[node]
-    return min(_min_leaf_below(tree, nb, node)
-               for nb in tree.neighbors(node) if nb != parent)
-
-
 def to_newick(tree: LatentTree) -> str:
     """Serialize rooted at the most balanced hidden node; hidden nodes are
     labeled H1, H2, ... in emission order and children are ordered by the
@@ -61,18 +54,31 @@ def to_newick(tree: LatentTree) -> str:
         if set(name) & _FORBIDDEN:
             raise ValueError(f"leaf name {name!r} contains reserved characters")
     root = choose_balanced_root(tree)
-    counter = [0]
-
-    def emit(node, parent):
+    kids: dict[int, list[int]] = {}  # hidden node -> children; keys in BFS order
+    for parent, child in bfs_edges({u: tree.neighbors(u) for u in tree.nodes()}, root):
+        kids.setdefault(parent, []).append(child)
+    low = dict(tree.leaf_names)  # smallest leaf label beneath each node
+    for node in reversed(kids):  # children before their parents
+        low[node] = min(low[c] for c in kids[node])
+        kids[node].sort(key=low.__getitem__)
+    out = ["("]
+    stack = [iter(kids[root])]  # children still to emit, one iterator per open node
+    closed = 0
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            closed += 1
+            out.append(f")H{closed}")
+            continue
+        if out[-1] != "(":  # not the first child
+            out.append(",")
         if tree.is_leaf(node):
-            return tree.leaf_names[node]
-        children = sorted((nb for nb in tree.neighbors(node) if nb != parent),
-                          key=lambda nb: _min_leaf_below(tree, nb, node))
-        inner = ",".join(emit(c, node) for c in children)
-        counter[0] += 1
-        return f"({inner})H{counter[0]}"
-
-    return emit(root, None) + ";"
+            out.append(tree.leaf_names[node])
+        else:
+            out.append("(")
+            stack.append(iter(kids[node]))
+    return "".join(out) + ";"
 
 
 class _NewickParser:
@@ -86,29 +92,32 @@ class _NewickParser:
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self):
-        node = self.subtree()
+    def parse(self) -> list[tuple[int | None, str | None]]:
+        """Nodes in pre-order as (parent index, leaf name); hidden nodes have
+        no name, and their own labels are discarded."""
+        nodes = []
+        open_nodes = [None]  # the root's parent, then hidden nodes whose ')' is ahead
+        while True:
+            while self.peek() == "(":
+                self.pos += 1
+                nodes.append((open_nodes[-1], None))
+                open_nodes.append(len(nodes) - 1)
+            nodes.append((open_nodes[-1], self.label(optional=False)))
+            while open_nodes[-1] is not None and self.peek() != ",":
+                if self.peek() != ")":
+                    self.error("expected ')' or ','")
+                self.pos += 1
+                self.label(optional=True)
+                open_nodes.pop()
+            if open_nodes[-1] is None:
+                break
+            self.pos += 1  # past the ','
         if self.peek() != ";":
             self.error("expected ';' at end of tree")
         self.pos += 1
         if self.text[self.pos:].strip():
             self.error("trailing text after ';'")
-        return node
-
-    def subtree(self):
-        if self.peek() == "(":
-            self.pos += 1
-            children = [self.subtree()]
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.subtree())
-            if self.peek() != ")":
-                self.error("expected ')' or ','")
-            self.pos += 1
-            label = self.label(optional=True)
-            return (label, children)
-        name = self.label(optional=False)
-        return (name, [])
+        return nodes
 
     def label(self, optional):
         start = self.pos
@@ -135,39 +144,19 @@ def from_newick(text: str) -> LatentTree:
     A degree-2 root (rooted binary convention) is contracted away.  Hidden
     nodes of any other degree than 3 are rejected.
     """
-    root = _NewickParser(text.strip()).parse()
-
-    leaf_labels = []
-
-    def collect(node):
-        label, children = node
-        if not children:
-            leaf_labels.append(label)
-        for c in children:
-            collect(c)
-
-    collect(root)
+    nodes = _NewickParser(text.strip()).parse()
+    leaf_labels = [name for _, name in nodes if name is not None]
     if len(leaf_labels) != len(set(leaf_labels)):
         raise ParseError("duplicate leaf names")
     ids = {name: i for i, name in enumerate(sorted(leaf_labels))}
-    adj: dict[int, list[int]] = {}
-    next_hidden = [len(leaf_labels)]
-
-    def build(node):
-        label, children = node
-        if not children:
-            nid = ids[label]
-        else:
-            nid = next_hidden[0]
-            next_hidden[0] += 1
-        adj.setdefault(nid, [])
-        for c in children:
-            cid = build(c)
-            adj[nid].append(cid)
-            adj[cid].append(nid)
-        return nid
-
-    root_id = build(root)
+    hidden_ids = iter(range(len(ids), len(nodes)))  # numbered in pre-order
+    node_ids = [next(hidden_ids) if name is None else ids[name] for _, name in nodes]
+    adj: dict[int, list[int]] = {nid: [] for nid in node_ids}
+    for (parent, _), nid in zip(nodes, node_ids):
+        if parent is not None:
+            adj[node_ids[parent]].append(nid)
+            adj[nid].append(node_ids[parent])
+    root_id = node_ids[0]
     if len(adj[root_id]) == 2:  # contract a rooted-style degree-2 root
         a, b = adj[root_id]
         adj[a] = [x if x != root_id else b for x in adj[a]]

@@ -10,8 +10,8 @@ all user-facing data (samples, CSV); arrays are 0-based internally.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -330,6 +330,8 @@ def reroot(tree: LatentTree, new_root: int) -> LatentTree:
 # Sampling and empirical tables
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK_LINES = 16_384  # data lines per np.loadtxt call in SampleSet.from_csv
+
 
 @dataclass
 class SampleSet:
@@ -367,33 +369,49 @@ class SampleSet:
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
+        """numpy parses chunks of data lines; a line loop reads on from one it refuses."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if not header:
                 raise ParseError("empty sample file", line=1)
             names = [s.strip() for s in header.split(",")]
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(names):
-                    raise ParseError(
-                        f"expected {len(names)} fields, got {len(parts)}", line=lineno)
-                try:
-                    rows.append([int(p) for p in parts])
+            blocks = []
+            while lines := list(islice(fh, _CSV_CHUNK_LINES)):
+                data = [line for line in lines if line != "\n"]  # numpy warns on blanks
+                try:  # numpy is stricter than int(); max_rows sizes its array once
+                    block = np.loadtxt(data, delimiter=",", dtype=np.int64, ndmin=2,
+                                       comments=None, max_rows=len(data)) if data else None
                 except ValueError:
-                    raise ParseError("non-integer state value", line=lineno) from None
-        if not rows:
+                    block = None
+                if block is None or block.shape[1] != len(names):  # the loop reads the rest
+                    start = 2 + len(blocks) * _CSV_CHUNK_LINES  # earlier chunks were full
+                    block = _parse_csv_lines(chain(lines, fh), start, len(names))
+                blocks.append(block)
+        if not any(len(b) for b in blocks):
             raise ParseError("sample file has no data rows", line=2)
-        try:
-            arr = np.asarray(rows, dtype=np.int64)
-        except OverflowError:
-            raise ParseError("state value does not fit in a 64-bit integer") from None
+        arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         if arr.min() < 1:
             raise ParseError("states must be 1-based positive integers")
         return cls(rows=arr, variable_names=names, n_states=int(arr.max()))
+
+
+def _parse_csv_lines(lines: Iterable[str], lineno: int, width: int) -> np.ndarray:
+    """Sample rows, one ``int()`` per field, from lines numbered from ``lineno``."""
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
+        if not (line := line.strip()):
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(f"expected {width} fields, got {len(parts)}", line=lineno)
+        try:
+            rows.append([int(p) for p in parts])
+        except ValueError:
+            raise ParseError("non-integer state value", line=lineno) from None
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        raise ParseError("state value does not fit in a 64-bit integer") from None
 
 
 def sample(tree: LatentTree, m: int, seed) -> SampleSet:

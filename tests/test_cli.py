@@ -133,6 +133,24 @@ class TestBuild:
                      "--out", str(tmp_path / "t.nwk")]) == 3
         assert "64-bit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, state", [("tensor", 1000), ("spectral@2", 2 ** 40),
+                                               ("nj", 2 ** 40)])
+    def test_state_count_over_table_limit_is_data_error(self, tmp_path, capsys,
+                                                         method, state):
+        csv = tmp_path / "s.csv"
+        csv.write_text(f"a,b,c,d\n1,2,1,2\n2,1,{state},1\n")
+        out = tmp_path / "t.nwk"
+        assert main(["build", "--input", str(csv), "--method", method,
+                     "--out", str(out)]) == 3
+        assert "over the limit of 1048576" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_state_count_at_table_limit_builds(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        csv.write_text("a,b,c,d\n1,2,1,2\n2,1,1024,1\n3,3,2,2\n")
+        assert main(["build", "--input", str(csv), "--method", "nj",
+                     "--out", str(tmp_path / "t.nwk")]) == 0
+
     def test_missing_file(self, tmp_path):
         assert main(["build", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "t.nwk")]) == 3

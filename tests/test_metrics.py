@@ -130,6 +130,28 @@ class TestNewick:
         with pytest.raises(ParseError):
             from_newick("(a,b,c,d,e);")
 
+    def test_deep_caterpillar_round_trip(self):
+        # Hidden nodes d..2d-3 on a path, two leaves at each end, one per inner node.
+        d = 1100
+        adj = {v: [] for v in range(2 * d - 2)}
+        edges = [(0, d), (1, d), (d - 2, 2 * d - 3), (d - 1, 2 * d - 3)]
+        edges += [(i + 1, d + i) for i in range(1, d - 3)]
+        edges += [(d + i, d + i + 1) for i in range(d - 3)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        t = LatentTree(adj, {i: f"x{i}" for i in range(d)})
+        text = to_newick(t)
+        back = from_newick(text)
+        assert robinson_foulds(back, t) == 0
+        assert to_newick(back) == text
+
+    @pytest.mark.parametrize("text", ["(" * 1500 + "a" + ")" * 1500 + ";",
+                                      "(" * 1500 + "a,b;"], ids=["closed", "unclosed"])
+    def test_deep_nesting_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            from_newick(text)
+
     def test_forbidden_leaf_characters(self):
         t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34,
                          names={0: "a b", 1: "c", 2: "d", 3: "e"})

@@ -1,10 +1,14 @@
 """Unit tests for latent tree models, exact marginals, and sampling."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tensortree import model
 from tensortree import (LatentTree, QuartetRelation, SampleSet, TreeParameters,
                         empirical_pairwise, empirical_quartet_tensor,
                         exact_quartet_distribution, marginal,
@@ -251,6 +255,118 @@ class TestSampleCsv:
         with pytest.raises(ParseError) as err:
             SampleSet.from_csv(path)
         assert "line 2" in str(err.value)
+
+
+def reference_from_csv(path) -> SampleSet:
+    """The reader as one ``int()`` loop over all lines, before chunked parsing."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if not header:
+            raise ParseError("empty sample file", line=1)
+        names = [s.strip() for s in header.split(",")]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(names):
+                raise ParseError(
+                    f"expected {len(names)} fields, got {len(parts)}", line=lineno)
+            try:
+                rows.append([int(p) for p in parts])
+            except ValueError:
+                raise ParseError("non-integer state value", line=lineno) from None
+    if not rows:
+        raise ParseError("sample file has no data rows", line=2)
+    try:
+        arr = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ParseError("state value does not fit in a 64-bit integer") from None
+    if arr.min() < 1:
+        raise ParseError("states must be 1-based positive integers")
+    return SampleSet(rows=arr, variable_names=names, n_states=int(arr.max()))
+
+
+def read_outcome(reader, path):
+    try:
+        s = reader(path)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    assert s.rows.dtype == np.int64
+    return ("ok", s.rows.tolist(), s.n_states, s.variable_names)
+
+
+# Cells int() accepts and numpy's reader rejects, cells both reject, and edge values.
+ODD_CELLS = ["+1", " 1 ", "1_0", "#", "-1", "0", str(2 ** 63), str(2 ** 63 - 1),
+             "", " ", "x", "1.0", "\uff11", "\u0663", "\t3", "\x0c2", "\xa02"]
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    good = st.lists(st.sampled_from(["1", "2", "3", "12"]),
+                    min_size=width, max_size=width).map(",".join)
+    odd = st.lists(st.sampled_from(ODD_CELLS + ["1", "2"]),
+                   min_size=1, max_size=4).map(",".join)  # often ragged
+    blank = st.sampled_from(["", "  ", "\t"])
+    kind = st.sampled_from([good, good, good, good, odd, blank])
+    lines = draw(st.lists(kind.flatmap(lambda s: s), max_size=16))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    header = ",".join(f"v{i}" for i in range(width))
+    return eol.join([header, *lines]) + draw(st.sampled_from(["", eol]))
+
+
+class TestCsvReader:
+    """The chunked reader against the one-loop reference: equal rows and
+    n_states, or the same ParseError message and line."""
+
+    def check(self, path, text, chunk=4):
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(model, "_CSV_CHUNK_LINES", chunk):
+            got = read_outcome(SampleSet.from_csv, path)
+        assert got == read_outcome(reference_from_csv, path)
+        return got
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts(), chunk=st.integers(1, 5))
+    def test_matches_reference(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        self.check(path, text, chunk)
+
+    @pytest.mark.parametrize("fault", ["1,x", "1", "1,2,3", f"1,{2 ** 63}", "0,1",
+                                       "1_0,1", "  "])
+    @pytest.mark.parametrize("at", [3, 4, 5])  # the chunk boundary is before line 4
+    def test_fault_around_chunk_boundary(self, tmp_path, fault, at):
+        lines = ["1,2"] * 10
+        lines[at] = fault
+        self.check(tmp_path / "s.csv", "a,b\n" + "\n".join(lines) + "\n")
+
+    def test_first_of_two_faults_is_reported(self, tmp_path):
+        lines = ["1,2"] * 12
+        lines[1], lines[9] = "1,x", "1"
+        got = self.check(tmp_path / "s.csv", "a,b\n" + "\n".join(lines) + "\n")
+        assert got == ("error", "non-integer state value (line 3)", 3)
+        # An overflow is found after the whole file is read, so a later
+        # field-count fault wins, as it did with one loop.
+        lines[1] = f"1,{2 ** 63}"
+        got = self.check(tmp_path / "s.csv", "a,b\n" + "\n".join(lines) + "\n")
+        assert got == ("error", "expected 2 fields, got 1 (line 11)", 11)
+
+    def test_rows_from_many_chunks(self, small_tree, tmp_path):
+        s = sample(small_tree, 50, 3)
+        path = tmp_path / "s.csv"
+        s.to_csv(path)
+        with mock.patch.object(model, "_CSV_CHUNK_LINES", 7):
+            back = SampleSet.from_csv(path)
+        assert np.array_equal(back.rows, s.rows) and back.n_states == s.n_states
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n2,1\n\n\n1,1\n",  # a chunk of blank lines
+                                      "a,b\n1,2\n\n2,1\n\n1,1\n"])  # blank lines among rows
+    def test_blank_lines_warn_nothing(self, tmp_path, text):
+        got = self.check(tmp_path / "s.csv", text, chunk=2)
+        assert got == ("ok", [[1, 2], [2, 1], [1, 1]], 2, ["a", "b"])
 
 
 class TestTreeStructure:
