@@ -493,19 +493,6 @@ class ResultTable:
         self.rows.append((str(method), int(m), int(trial), float(outcome),
                           float(elapsed_ms)))
 
-    def summarize(self) -> dict:
-        """(method, m) -> (mean outcome, standard error, count), NaNs dropped."""
-        groups: dict = {}
-        for method, m, _trial, outcome, _ms in self.rows:
-            groups.setdefault((method, m), []).append(outcome)
-        out = {}
-        for key, vals in groups.items():
-            arr = np.asarray(vals, dtype=float)
-            arr = arr[~np.isnan(arr)]
-            se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-            out[key] = (float(arr.mean()) if len(arr) else math.nan, se, len(arr))
-        return out
-
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(RESULT_COLUMNS) + "\n")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import LatentTree, bfs_edges, quartet_tree
+from .model import LatentTree, quartet_tree
 from .tensors import QuartetRelation
 
 
@@ -48,10 +48,9 @@ def choose_balanced_root(tree: LatentTree) -> int:
     if not tree.hidden:
         raise ValueError("tree has no hidden node")
     # Rooted at a leaf, a hidden node's branches are its children's subtrees and the rest.
-    adj = {u: tree.neighbors(u) for u in tree.nodes()}
-    below = {u: int(tree.is_leaf(u)) for u in adj}  # leaves in each subtree
-    heavy = dict.fromkeys(adj, 0)  # most leaves under one child
-    for parent, child in reversed(bfs_edges(adj, tree.leaves[0])):
+    below = {u: int(tree.is_leaf(u)) for u in tree.nodes()}  # leaves in each subtree
+    heavy = dict.fromkeys(below, 0)  # most leaves under one child
+    for parent, child in reversed(tree.bfs_edges(tree.leaves[0])):
         below[parent] += below[child]
         heavy[parent] = max(heavy[parent], below[child])
     return min(tree.hidden, key=lambda h: (max(heavy[h], tree.d - below[h]), h))

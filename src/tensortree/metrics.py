@@ -2,34 +2,30 @@
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
 from .builder import choose_balanced_root
 from .exceptions import ModelError, ParseError
-from .model import LatentTree, bfs_edges
-
-_FORBIDDEN = set("(),;: \t\n")
+from .model import NEWICK_RESERVED, LatentTree
 
 
 def bipartitions(tree: LatentTree) -> frozenset:
     """Canonical nontrivial leaf splits, one per internal (hidden-hidden) edge.
 
     Each split is stored as the frozenset of leaf names on the side *not*
-    containing the anchor leaf (the lexicographically smallest name).
+    containing the anchor leaf (the lexicographically smallest name): rooted
+    at the anchor, the leaves below the edge's child.
     """
-    names = sorted(tree.leaf_names.values())
-    if len(names) != len(set(names)):
+    if len(set(tree.leaf_names.values())) != tree.d:
         raise ModelError("leaf names must be unique")
-    anchor = names[0]
+    anchor = min(tree.leaf_names, key=tree.leaf_names.__getitem__)
+    below: dict[int, set[str]] = {}  # leaf names under each hidden node seen so far
     out = set()
-    for u, v in tree.edges():
-        if tree.is_leaf(u) or tree.is_leaf(v):
-            continue
-        side = frozenset(tree.leaf_names[x] for x in tree.leaves_in(tree.component(u, v)))
-        if anchor in side:
-            side = frozenset(set(names) - side)
-        if len(side) >= 2 and len(side) <= len(names) - 2:
-            out.add(side)
+    for parent, child in reversed(tree.bfs_edges(anchor)):  # children before parents
+        side = below.pop(child, None)
+        if side is None:
+            side = {tree.leaf_names[child]}
+        elif parent != anchor:
+            out.add(frozenset(side))
+        below.setdefault(parent, set()).update(side)
     return frozenset(out)
 
 
@@ -51,11 +47,11 @@ def to_newick(tree: LatentTree) -> str:
     labeled H1, H2, ... in emission order and children are ordered by the
     smallest leaf label beneath them."""
     for name in tree.leaf_names.values():
-        if set(name) & _FORBIDDEN:
+        if set(name) & NEWICK_RESERVED:
             raise ValueError(f"leaf name {name!r} contains reserved characters")
     root = choose_balanced_root(tree)
     kids: dict[int, list[int]] = {}  # hidden node -> children; keys in BFS order
-    for parent, child in bfs_edges({u: tree.neighbors(u) for u in tree.nodes()}, root):
+    for parent, child in tree.bfs_edges(root):
         kids.setdefault(parent, []).append(child)
     low = dict(tree.leaf_names)  # smallest leaf label beneath each node
     for node in reversed(kids):  # children before their parents

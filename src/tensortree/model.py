@@ -95,16 +95,13 @@ class LatentTree:
         n_edges = sum(len(vs) for vs in adj.values()) // 2
         if n_edges != len(nodes) - 1:
             raise ModelError("graph is not a tree (wrong edge count)")
-        # connectivity
-        seen = set()
-        stack = [next(iter(nodes))]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(adj[u])
-        if seen != nodes:
+        # The one orientation every path query climbs: parents and depths from the lowest id.
+        root = min(nodes)
+        self._parent, self._depth = {}, {root: 0}
+        for parent, child in bfs_edges(adj, root):
+            self._parent[child] = parent
+            self._depth[child] = self._depth[parent] + 1
+        if len(self._depth) != len(nodes):
             raise ModelError("graph is not connected")
         for u in nodes:
             deg = len(adj[u])
@@ -143,47 +140,27 @@ class LatentTree:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, ())
 
+    def bfs_edges(self, root: int) -> list[tuple[int, int]]:
+        """(parent, child) pairs of the tree oriented away from ``root``."""
+        return bfs_edges(self._adj, root)
+
     def path(self, u: int, v: int) -> list[int]:
         """Node sequence from u to v inclusive."""
-        prev = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for y in self._adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        if v not in prev:
+        parent, depth = self._parent, self._depth
+        if u not in depth or v not in depth:
             raise ModelError(f"no path between {u} and {v}")
-        out = [v]
-        while out[-1] != u:
-            out.append(prev[out[-1]])
-        return out[::-1]
-
-    def component(self, start: int, blocked: int) -> set[int]:
-        """Nodes reachable from ``start`` without passing through ``blocked``."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y != blocked and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    def leaves_in(self, nodes: set[int]) -> list[int]:
-        return sorted(x for x in nodes if x in self.leaf_names)
+        up, down = [u], [v]  # climb whichever side is deeper until the two meet
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        return up + down[-2::-1]
 
     def median(self, a: int, b: int, c: int) -> int:
         """The unique node lying on all three pairwise paths."""
-        pab = set(self.path(a, b))
-        for x in self.path(a, c):
-            if x in pab and x in set(self.path(b, c)):
-                return x
-        raise ModelError("no median found (not a tree?)")
+        (node,) = set(self.path(a, b)) & set(self.path(a, c)) & set(self.path(b, c))
+        return node
 
     # -- parameterized queries ---------------------------------------------
 
@@ -194,7 +171,7 @@ class LatentTree:
 
     def parent_order(self) -> list[tuple[int, int]]:
         """(parent, child) pairs in BFS order from the root."""
-        return bfs_edges(self._adj, self._require_params().root)
+        return self.bfs_edges(self._require_params().root)
 
     def node_marginal(self, v: int) -> np.ndarray:
         p = self._require_params()
@@ -320,7 +297,7 @@ def reroot(tree: LatentTree, new_root: int) -> LatentTree:
     if new_root not in tree.hidden:
         raise ModelError(f"{new_root} is not a hidden node")
     cpts = {(u, v): tree.edge_conditional(u, v)
-            for u, v in bfs_edges(tree._adj, new_root)}
+            for u, v in tree.bfs_edges(new_root)}
     params = TreeParameters(n=p.n, k=p.k, root=new_root,
                             root_marginal=tree.node_marginal(new_root), cpts=cpts)
     return LatentTree(tree._adj, tree.leaf_names, params=params)
@@ -331,6 +308,7 @@ def reroot(tree: LatentTree, new_root: int) -> LatentTree:
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_LINES = 16_384  # data lines per np.loadtxt call in SampleSet.from_csv
+NEWICK_RESERVED = frozenset("(),;: \t\n")  # characters no leaf or variable name may hold
 
 
 @dataclass
@@ -375,6 +353,13 @@ class SampleSet:
             if not header:
                 raise ParseError("empty sample file", line=1)
             names = [s.strip() for s in header.split(",")]
+            seen = set()
+            for name in names:  # each name becomes a Newick leaf label
+                problem = ("is empty" if not name else "is repeated" if name in seen else
+                           "holds ( ) ; : or whitespace" if set(name) & NEWICK_RESERVED else "")
+                if problem:
+                    raise ParseError(f"variable name {name!r} {problem}", line=1)
+                seen.add(name)
             blocks = []
             while lines := list(islice(fh, _CSV_CHUNK_LINES)):
                 data = [line for line in lines if line != "\n"]  # numpy warns on blanks

@@ -88,17 +88,11 @@ def resolve_spectral_k(pairs: Mapping[tuple[int, int], np.ndarray], k: int,
 
 
 def resolve_oracle(tree: LatentTree, leaves: Sequence[int]) -> QuartetRelation:
-    """The pairing induced by the true topology: the grouping whose two
-    within-pair paths are disjoint."""
+    """The pairing induced by the true topology: by the four-point condition,
+    the grouping whose two within-pair paths are shortest in sum (strictly, in
+    a tree whose hidden nodes have degree 3)."""
     a, b, c, d = leaves
     if len({a, b, c, d}) != 4:
         raise ModelError(f"need four distinct leaves, got {leaves}")
-    pairs_by_relation = {
-        QuartetRelation.PAIR_12_34: ((a, b), (c, d)),
-        QuartetRelation.PAIR_13_24: ((a, c), (b, d)),
-        QuartetRelation.PAIR_14_23: ((a, d), (b, c)),
-    }
-    for rel, ((p, q), (r, s)) in pairs_by_relation.items():
-        if not set(tree.path(p, q)) & set(tree.path(r, s)):
-            return rel
-    raise ModelError(f"no pairing separates leaves {leaves} (degenerate topology)")
+    return min(QuartetRelation, key=lambda rel: sum(
+        len(tree.path(leaves[i - 1], leaves[j - 1])) for i, j in rel.groups))

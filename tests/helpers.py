@@ -1,0 +1,73 @@
+"""Reference code shared by the tests: plain graph searches written apart from
+the one orientation ``LatentTree`` keeps, a caterpillar tree, and bench means
+that refuse NaN outcomes."""
+
+import math
+
+import numpy as np
+
+from tensortree.model import LatentTree
+from tensortree.tensors import QuartetRelation
+
+
+def caterpillar(d):
+    """Leaves 0..d-1 strung along a path of hidden nodes d..2d-3."""
+    adj = {0: [d], 1: [d], d - 1: [2 * d - 3]}
+    for i in range(2, d - 1):
+        adj[i] = [d + i - 1]
+    for h in range(d, 2 * d - 2):
+        if h == d:
+            adj[h] = [0, 1, d + 1]
+        elif h == 2 * d - 3:
+            adj[h] = [h - 1, h - d + 1, d - 1]
+        else:
+            adj[h] = [h - 1, h + 1, h - d + 1]
+    return LatentTree(adj, {i: f"X{i}" for i in range(d)})
+
+
+def component(tree, start, blocked):
+    """Nodes reachable from ``start`` without passing through ``blocked``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in tree.neighbors(stack.pop()):
+            if y != blocked and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def dfs_path(tree, u, v):
+    """Node sequence from u to v inclusive, by depth-first search from u."""
+    prev = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for y in tree.neighbors(x):
+            if y not in prev:
+                prev[y] = x
+                stack.append(y)
+    out = [v]
+    while out[-1] != u:
+        out.append(prev[out[-1]])
+    return out[::-1]
+
+
+def disjoint_path_oracle(tree, leaves):
+    """The pairing of four leaves whose two within-pair paths share no node."""
+    for rel in QuartetRelation:
+        (p, q), (r, s) = ((leaves[i - 1], leaves[j - 1]) for i, j in rel.groups)
+        if not set(dfs_path(tree, p, q)) & set(dfs_path(tree, r, s)):
+            return rel
+    raise AssertionError(f"no pairing of {leaves} has disjoint paths")
+
+
+def mean_outcomes(table):
+    """(method, m) -> mean outcome of a ``ResultTable``; a NaN outcome fails."""
+    groups = {}
+    for method, m, trial, outcome, _ms in table.rows:
+        assert not math.isnan(outcome), f"{method} at m={m}, trial {trial}: NaN outcome"
+        groups.setdefault((method, m), []).append(outcome)
+    return {key: float(np.mean(vals)) for key, vals in groups.items()}

@@ -19,6 +19,8 @@ from tensortree.exceptions import ModelError
 from tensortree.model import sample
 from tensortree.tensors import kronecker, nuclear_norm, unfold
 
+from helpers import mean_outcomes
+
 
 class TestPerturbedCpt:
     def test_mu_zero_returns_base(self):
@@ -178,8 +180,8 @@ class TestHarness:
         cfg = QuartetExperimentConfig(k_h=2, k_g=3, n=5, mu=0.5,
                                       sample_grid=(50, 200), trials=5,
                                       methods=("oracle",), seed=1)
-        summary = run_quartet_experiment(cfg).summarize()
-        assert all(mean == 1.0 for mean, _, _ in summary.values())
+        summary = mean_outcomes(run_quartet_experiment(cfg))
+        assert all(mean == 1.0 for mean in summary.values())
 
     def test_rerun_identical_outcomes(self):
         cfg = QuartetExperimentConfig(k_h=2, k_g=2, n=4, mu=0.8,
@@ -202,8 +204,8 @@ class TestHarness:
         cfg = TreeExperimentConfig(d=6, beta=0.5, k_range=(2, 3), n=5, mu=0.5,
                                    sample_grid=(100,), trials=3,
                                    methods=("oracle",), seed=5)
-        summary = run_tree_experiment(cfg).summarize()
-        assert all(mean == 0.0 for mean, _, _ in summary.values())
+        summary = mean_outcomes(run_tree_experiment(cfg))
+        assert all(mean == 0.0 for mean in summary.values())
 
     def test_result_table_csv(self, tmp_path):
         table = ResultTable()
@@ -214,16 +216,7 @@ class TestHarness:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "method,m,trial,outcome,elapsed_ms"
         assert len(lines) == 3
-        mean, se, count = table.summarize()[("tensor", 100)]
-        assert mean == 0.5 and count == 2
-
-    def test_nan_outcomes_dropped_in_summary(self):
-        table = ResultTable()
-        table.add("nj", 10, 0, float("nan"), 1.0)
-        table.add("nj", 10, 1, 1.0, 1.0)
-        mean, _, count = table.summarize()[("nj", 10)]
-        assert mean == 1.0 and count == 1
-
+        assert mean_outcomes(table) == {("tensor", 100): 0.5}
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(tensor):

@@ -11,6 +11,8 @@ from tensortree import (QuartetRelation, build_tree, choose_balanced_root,
 from tensortree.bench import random_topology
 from tensortree.model import LatentTree
 
+from helpers import caterpillar, component
+
 
 def oracle_resolver(tree):
     return lambda a, b, c, d: resolve_oracle(tree, (a, b, c, d))
@@ -23,7 +25,7 @@ def random_resolver(seed):
 
 
 def _direction_edges(tree, center, neighbor):
-    comp = tree.component(neighbor, center)
+    comp = component(tree, neighbor, center)
     edges = {frozenset((center, neighbor))}
     for x in comp:
         for y in tree.neighbors(x):
@@ -73,7 +75,7 @@ def reference_build(resolver, variables, seed=0, shuffle=False):
                     best, best_score = h, score
             reps = []
             for nb in tree.neighbors(best):
-                leaves = tree.leaves_in(tree.component(nb, best))
+                leaves = sorted(x for x in component(tree, nb, best) if tree.is_leaf(x))
                 reps.append(leaves[rng.integers(len(leaves))])
             rel = ask((x, *reps))
             depth += 1
@@ -83,23 +85,6 @@ def reference_build(resolver, variables, seed=0, shuffle=False):
         (edge,) = candidates  # an empty set here would mean a dead end
         tree = _reference_insert(tree, *sorted(edge), x)
     return tree, verdicts, depths
-
-
-def caterpillar(d):
-    """Leaves 0..d-1 strung along a path of hidden nodes d..2d-3."""
-    adj = {0: [d], 1: [d], d - 1: [2 * d - 3]}
-    for i in range(2, d - 1):
-        adj[i] = [d + i - 1]
-    for h in range(d, 2 * d - 2):
-        adj[h] = []
-    for h in range(d, 2 * d - 2):
-        if h == d:
-            adj[h] = [0, 1, d + 1]
-        elif h == 2 * d - 3:
-            adj[h] = [h - 1, h - d + 1, d - 1]
-        else:
-            adj[h] = [h - 1, h + 1, h - d + 1]
-    return LatentTree(adj, {i: f"X{i}" for i in range(d)})
 
 
 class TestBuildTree:
@@ -145,7 +130,7 @@ class TestBuildTree:
 
 def largest_branch(tree, h):
     """Most leaves in one of the three branches at hidden node h."""
-    return max(len(tree.leaves_in(tree.component(nb, h))) for nb in tree.neighbors(h))
+    return max(sum(map(tree.is_leaf, component(tree, nb, h))) for nb in tree.neighbors(h))
 
 
 def reference_balanced_root(tree):

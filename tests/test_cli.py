@@ -126,6 +126,23 @@ class TestBuild:
         assert main(["build", "--input", str(csv),
                      "--out", str(tmp_path / "t.nwk")]) == 3
 
+    @pytest.mark.parametrize("header, problem", [
+        ("a,a,b,c", "'a' is repeated"),
+        ("a,,c,d", "'' is empty"),
+        ("a b,c,d,e", "'a b' holds"),
+        ("a(,c,d,e", "'a(' holds"),
+        ("a:1,c,d,e", "'a:1' holds"),
+    ])
+    def test_header_name_unfit_for_newick_is_data_error(self, tmp_path, capsys,
+                                                        header, problem):
+        csv = tmp_path / "s.csv"
+        csv.write_text(f"{header}\n1,2,1,2\n2,1,2,1\n")
+        out = tmp_path / "t.nwk"
+        assert main(["build", "--input", str(csv), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"variable name {problem}" in err and "(line 1)" in err
+        assert not out.exists()
+
     def test_state_beyond_int64_is_data_error(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         csv.write_text("a,b,c,d\n1,1,1,1\n1,99999999999999999999,1,1\n")

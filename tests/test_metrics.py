@@ -11,6 +11,8 @@ from tensortree.bench import random_topology
 from tensortree.exceptions import ParseError
 from tensortree.model import LatentTree
 
+from helpers import caterpillar, component
+
 
 def brute_force_bipartitions(tree):
     """Oracle: remove each internal edge and collect both leaf sides."""
@@ -21,7 +23,7 @@ def brute_force_bipartitions(tree):
         if tree.is_leaf(u) or tree.is_leaf(v):
             continue
         side = frozenset(tree.leaf_names[x]
-                         for x in tree.component(u, v) if tree.is_leaf(x))
+                         for x in component(tree, u, v) if tree.is_leaf(x))
         if anchor in side:
             side = frozenset(set(names) - side)
         out.add(side)
@@ -37,14 +39,14 @@ class TestBipartitions:
         assert split in (frozenset({"X0", "X1"}), frozenset({"X2", "X3"}))
 
     def test_count_is_d_minus_3(self):
-        for d in (8, 16):
-            t = random_topology(d, 0.5, d)
-            assert len(bipartitions(t)) == d - 3
+        for t in (random_topology(8, 0.5, 8), random_topology(16, 0.5, 16), caterpillar(1100)):
+            assert len(bipartitions(t)) == t.d - 3
 
     def test_matches_brute_force(self):
-        for seed in range(10):
-            t = random_topology(6, 0.4, seed)
-            assert bipartitions(t) == brute_force_bipartitions(t)
+        for d in (4, 5, 6, 9, 33, 200):
+            trees = [random_topology(d, beta, seed) for beta in (0.1, 0.4) for seed in range(10)]
+            for t in [*trees, caterpillar(d)]:
+                assert bipartitions(t) == brute_force_bipartitions(t)
 
     def test_invariant_under_internal_relabeling(self):
         t = random_topology(8, 0.5, 3)
@@ -56,8 +58,8 @@ class TestBipartitions:
 
 class TestRobinsonFoulds:
     def test_self_distance_zero(self):
-        t = random_topology(10, 0.5, 1)
-        assert robinson_foulds(t, t) == 0
+        for t in (random_topology(10, 0.5, 1), caterpillar(1100)):
+            assert robinson_foulds(t, t) == 0
 
     def test_two_quartet_pairings(self):
         t1 = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
@@ -131,16 +133,7 @@ class TestNewick:
             from_newick("(a,b,c,d,e);")
 
     def test_deep_caterpillar_round_trip(self):
-        # Hidden nodes d..2d-3 on a path, two leaves at each end, one per inner node.
-        d = 1100
-        adj = {v: [] for v in range(2 * d - 2)}
-        edges = [(0, d), (1, d), (d - 2, 2 * d - 3), (d - 1, 2 * d - 3)]
-        edges += [(i + 1, d + i) for i in range(1, d - 3)]
-        edges += [(d + i, d + i + 1) for i in range(d - 3)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        t = LatentTree(adj, {i: f"x{i}" for i in range(d)})
+        t = caterpillar(1100)
         text = to_newick(t)
         back = from_newick(text)
         assert robinson_foulds(back, t) == 0

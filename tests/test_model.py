@@ -15,6 +15,9 @@ from tensortree import (LatentTree, QuartetRelation, SampleSet, TreeParameters,
                         pairwise_distribution, quartet_tree, reroot, sample)
 from tensortree.bench import parameterize, random_topology, random_tree_model
 from tensortree.exceptions import ModelError, ParseError
+from tensortree.resolvers import resolve_oracle
+
+from helpers import caterpillar, dfs_path, disjoint_path_oracle
 
 
 def brute_force_quartet(tree, leaves):
@@ -396,3 +399,53 @@ class TestTreeStructure:
         m = t.median(0, 1, 2)
         assert m in t.hidden
         assert m in t.path(0, 1) and m in t.path(0, 2) and m in t.path(1, 2)
+
+
+ORIENTATION_TREES = [("random", d, beta, seed) for d in (4, 5, 9, 33, 200)
+                     for beta in (0.1, 0.5) for seed in range(3)]
+ORIENTATION_TREES += [("caterpillar", d, None, None) for d in (4, 5, 60, 300)]
+
+
+def orientation_tree(kind, d, beta, seed):
+    return caterpillar(d) if kind == "caterpillar" else random_topology(d, beta, [d, seed])
+
+
+@pytest.mark.parametrize("case", ORIENTATION_TREES, ids=str)
+class TestOrientationMatchesReferences:
+    """The parent-and-depth climbs against plain depth-first searches."""
+
+    def test_path(self, case):
+        t = orientation_tree(*case)
+        rng = np.random.default_rng(t.d)
+        for u, v in rng.choice(t.nodes(), size=(100, 2)).tolist():  # may repeat
+            assert t.path(u, v) == dfs_path(t, u, v)
+
+    def test_median(self, case):
+        t = orientation_tree(*case)
+        rng = np.random.default_rng(t.d)
+        for a, b, c in rng.choice(t.nodes(), size=(100, 3)).tolist():
+            shared = set(dfs_path(t, a, b)) & set(dfs_path(t, a, c)) & set(dfs_path(t, b, c))
+            assert {t.median(a, b, c)} == shared
+
+    def test_oracle(self, case):
+        t = orientation_tree(*case)
+        rng = np.random.default_rng(t.d)
+        for _ in range(100):
+            q = rng.choice(t.leaves, size=4, replace=False).tolist()
+            assert resolve_oracle(t, q) == disjoint_path_oracle(t, q)
+
+
+class TestOrientationErrors:
+    def test_unknown_node_is_model_error(self):
+        t = random_topology(6, 0.5, 0)
+        for u, v in ((0, 999), (999, 0), (999, 999)):
+            with pytest.raises(ModelError):
+                t.path(u, v)
+        with pytest.raises(ModelError):
+            resolve_oracle(t, (0, 1, 2, 999))
+
+    def test_disconnected_rejected(self):
+        # A triangle beside an isolated node: right edge count, two components.
+        adj = {0: [1, 2], 1: [0, 2], 2: [0, 1], 3: []}
+        with pytest.raises(ModelError, match="not connected"):
+            LatentTree(adj, {3: "a"})
