@@ -4,17 +4,16 @@ __version__ = "0.1.0"
 
 from .exceptions import (ModelError, NumericalError, ParseError,  # noqa: F401
                          TensorTreeError)
-from .tensors import (JointTensor4, QuartetRelation, SpectralSummary,  # noqa: F401
-                      khatri_rao, kronecker, nuclear_norm, numerical_rank,
-                      refold, spectral, unfold)
+from .tensors import (JointTensor4, QuartetRelation, khatri_rao,  # noqa: F401
+                      kronecker, nuclear_norm, numerical_rank, refold, spectral,
+                      unfold)
 from .model import (LatentTree, SampleSet, TreeParameters,  # noqa: F401
                     empirical_pairwise, empirical_quartet_tensor,
-                    exact_quartet_distribution, marginal,
-                    pairwise_distribution, quartet_tree, reroot, sample)
+                    exact_quartet_distribution, pairwise_distribution,
+                    quartet_tree, reroot, sample)
 from .resolvers import (QuartetVerdict, resolve_nuclear,  # noqa: F401
                         resolve_oracle, resolve_spectral_k)
-from .builder import (BuildTrace, build_tree, choose_balanced_root,  # noqa: F401
-                      insert_leaf)
+from .builder import BuildTrace, build_tree, choose_balanced_root  # noqa: F401
 from .nj import additive_distance, distance_matrix, neighbor_join  # noqa: F401
 from .metrics import (bipartitions, from_newick, robinson_foulds,  # noqa: F401
                       to_newick)

@@ -109,7 +109,7 @@ class QuartetModel:
     def exact_tensor(self) -> JointTensor4:
         p1, p2, p3, p4 = self.obs_cpts
         values = np.einsum("ah,bh,hg,cg,dg->abcd", p1, p2, self.joint_hidden, p3, p4)
-        return JointTensor4(values / values.sum(), kind="exact")
+        return JointTensor4(values / values.sum())
 
 
 def pairwise_tables(tensor: JointTensor4) -> dict:
@@ -143,13 +143,16 @@ def with_dependence_scaled(model: QuartetModel, scale: float) -> QuartetModel:
     return replace(model, joint_hidden=joint)
 
 
-def dependence_limited_model(k_h: int, k_g: int, n: int, mu: float, seed,
-                             safety: float = 0.9) -> QuartetModel:
+# Fraction of the population-correctness threshold a rescaled hidden edge keeps.
+DEPENDENCE_SAFETY = 0.9
+
+
+def dependence_limited_model(k_h: int, k_g: int, n: int, mu: float, seed) -> QuartetModel:
     """A random quartet model rescaled so the hidden-edge deviation stays below
     the population-correctness threshold of the nuclear test."""
     model = random_quartet_model(k_h, k_g, n, mu, seed)
     diag = diagnostics(model)
-    limit = safety * diag.theta_min / (diag.k ** 2 + diag.k)
+    limit = DEPENDENCE_SAFETY * diag.theta_min / (diag.k ** 2 + diag.k)
     if diag.delta > limit > 0:
         model = with_dependence_scaled(model, limit / diag.delta)
     return model
@@ -244,6 +247,10 @@ def random_tree_model(d: int, beta: float, n: int, k: int, mu: float, seed,
 # ---------------------------------------------------------------------------
 
 
+# Quartet tests per build, in units of d log2(d), that the tree bound assumes.
+BUILDER_CALL_CONSTANT = 4.0
+
+
 @dataclass(frozen=True)
 class RecoveryDiagnostics:
     """Population quantities governing when the nuclear quartet test succeeds.
@@ -264,7 +271,6 @@ class RecoveryDiagnostics:
     margins_preserved_ok: bool  # per-edge deviations have zero row/column sums
     edge_bound_ok: bool         # delta <= theta_min / (k^2 + k)
     combined_bound_ok: bool     # delta <= min(theta_min / (k^2 + k), gamma_min)
-    builder_call_constant: float = 4.0
 
     def quartet_success_bound(self, m: int) -> float:
         """Lower bound on the single-test success probability at m samples."""
@@ -272,7 +278,7 @@ class RecoveryDiagnostics:
 
     def tree_success_bound(self, m: int) -> float:
         """Lower bound on whole-tree recovery probability at m samples."""
-        factor = self.builder_call_constant * self.d * math.log2(self.d)
+        factor = BUILDER_CALL_CONSTANT * self.d * math.log2(self.d)
         return 1.0 - 8.0 * factor * math.exp(-m * self.alpha_min ** 2 / 32.0)
 
 
@@ -378,9 +384,11 @@ def parse_method(name: str) -> tuple[str, int | None]:
 
 
 def _validate_methods(methods, n):
+    if not methods:
+        raise ValueError("need at least one method")
     for name in methods:
-        kind, k = parse_method(name)
-        if kind == "spectral" and k > n:
+        family, k = parse_method(name)
+        if family == "spectral" and k > n:
             raise ValueError(f"method {name!r} needs k <= n = {n}")
 
 
@@ -392,9 +400,9 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
     ``seed`` drives the builder's random choices.  ``oracle`` needs the true
     tree ``truth``, whose leaves in ascending id order are the sample columns.
     """
-    kind, spectral_k = parse_method(method)
+    family, spectral_k = parse_method(method)
     d = samples.d
-    if kind == "nj":
+    if family == "nj":
         tables = {(i, j): empirical_pairwise(samples, i, j)
                   for i in range(d) for j in range(i + 1, d)}
         # Marginals come from tables already counted.  The last column's is the
@@ -403,14 +411,14 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
         marginals = [tables[(i, i + 1)].sum(axis=1) for i in range(d - 1)]
         marginals.append(np.ascontiguousarray(tables[(0, d - 1)].T).sum(axis=1))
         return neighbor_join(distance_matrix(tables, marginals), samples.variable_names)
-    if kind == "oracle":
+    if family == "oracle":
         if truth is None:
             raise ValueError("method 'oracle' needs the true tree")
         leaves = truth.leaves
 
         def resolver(a, b, c, dd):
             return resolve_oracle(truth, (leaves[a], leaves[b], leaves[c], leaves[dd]))
-    elif kind == "tensor":
+    elif family == "tensor":
         def resolver(a, b, c, dd):
             return resolve_nuclear(empirical_quartet_tensor(samples, (a, b, c, dd)))
     else:
@@ -528,16 +536,16 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
     for mi, m in enumerate(cfg.sample_grid):
         rng = np.random.default_rng([cfg.seed, 2, trial, mi])
         counts = rng.multinomial(m, p_flat).reshape(n, n, n, n)
-        emp = JointTensor4(counts / m, kind="empirical")
+        emp = JointTensor4(counts / m)
         pairs = None
         marginals = None
         for name in cfg.methods:
-            kind, k = parse_method(name)
+            family, k = parse_method(name)
             t0 = time.perf_counter()
             try:
-                if kind == "tensor":
+                if family == "tensor":
                     rel = resolve_nuclear(emp).relation
-                elif kind == "oracle":
+                elif family == "oracle":
                     rel = model.true_relation
                 else:
                     if pairs is None:
@@ -546,7 +554,7 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
                                      2: pairs[(1, 2)].sum(axis=0),
                                      3: pairs[(3, 4)].sum(axis=1),
                                      4: pairs[(3, 4)].sum(axis=0)}
-                    if kind == "spectral":
+                    if family == "spectral":
                         rel = resolve_spectral_k(pairs, k).relation
                     else:
                         rel = _nj_quartet_relation(pairs, marginals)

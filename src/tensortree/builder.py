@@ -56,29 +56,6 @@ def choose_balanced_root(tree: LatentTree) -> int:
     return min(tree.hidden, key=lambda h: (max(heavy[h], tree.d - below[h]), h))
 
 
-def _subdivide(adj: dict, u: int, v: int, fresh: int, new_leaf: int) -> None:
-    """Put ``fresh`` on edge (u, v) and hang ``new_leaf`` off it, in place."""
-    for a, b in ((u, v), (v, u)):
-        adj[a][adj[a].index(b)] = fresh
-        adj[a].sort()
-    adj[fresh] = sorted((u, v, new_leaf))
-    adj[new_leaf] = [fresh]
-
-
-def insert_leaf(tree: LatentTree, sibling_edge: tuple[int, int], new_leaf: int,
-                name: str | None = None) -> LatentTree:
-    """Subdivide an edge with a fresh hidden node and hang the new leaf off it."""
-    u, v = sibling_edge
-    if not tree.has_edge(u, v):
-        raise ValueError(f"edge {sibling_edge} not in tree")
-    if new_leaf in tree.nodes():
-        raise ValueError(f"node id {new_leaf} already present")
-    adj = {x: list(tree.neighbors(x)) for x in tree.nodes()}
-    _subdivide(adj, u, v, max(max(adj), new_leaf) + 1, new_leaf)
-    name = name if name is not None else f"X{new_leaf}"
-    return LatentTree(adj, {**tree.leaf_names, new_leaf: name})
-
-
 def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
                  trace: BuildTrace) -> tuple[int, int]:
     """Find the attachment edge for a new leaf with O(log d) quartet tests."""
@@ -160,6 +137,12 @@ def build_tree(resolver: Callable, variables: Sequence[int], seed=0,
     leaves = set(first)
     for x in order[4:]:
         u, v = _locate_edge(adj, leaves, x, resolver, rng, trace)
-        _subdivide(adj, u, v, max(max(adj), x) + 1, x)
+        # Put a fresh hidden node on edge (u, v) and hang x off it.
+        fresh = max(max(adj), x) + 1
+        for a, b in ((u, v), (v, u)):
+            adj[a][adj[a].index(b)] = fresh
+            adj[a].sort()
+        adj[fresh] = sorted((u, v, x))
+        adj[x] = [fresh]
         leaves.add(x)
     return LatentTree(adj, {v: names[v] for v in order}), trace

@@ -1,6 +1,7 @@
 """Command-line interface: benchmarks, tree building, and model diagnostics.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 data error (an input that cannot be
+read or parsed, or an --out path that cannot be written), 4 numerical failure.
 ``build`` refuses, with exit 3, a sample file whose state count n would make
 a table of more than MAX_TABLE_BINS bins: n^4 for ``tensor``, n^2 for
 ``spectral@K`` and ``nj``.
@@ -40,28 +41,49 @@ EXIT_NUMERICAL = 4
 MAX_TABLE_BINS = 2 ** 20  # 8 MiB of float64: tensor allows n <= 32, the others n <= 1024
 
 
-def _int_list(text: str) -> list[int]:
+def _positive_int(text: str) -> int:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    return [_positive_int(x) for x in text.split(",") if x.strip()]
 
 
 def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _write_manifest(args, elapsed_s):
-    manifest = {
-        "subcommand": args.command,
-        "config": vars(args),
-        "seed": args.seed,
-        "version": __version__,
-        "elapsed_seconds": round(elapsed_s, 3),
-    }
-    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _text_writer(text: str):
+    def write(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return write
+
+
+def _write_outputs(args, write, t0: float) -> int:
+    """Write the output file with ``write(path)``, then its manifest sidecar."""
+    try:
+        write(args.out)
+        manifest = {
+            "subcommand": args.command,
+            "config": vars(args),
+            "seed": args.seed,
+            "version": __version__,
+            "elapsed_seconds": round(time.perf_counter() - t0, 3),
+        }
+        with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    return EXIT_OK
 
 
 def _add_common(sub, with_jobs=True):
@@ -69,8 +91,8 @@ def _add_common(sub, with_jobs=True):
                      help="random seed (default: $TENSORTREE_SEED or 0)")
     sub.add_argument("--out", required=True, help="output file path")
     if with_jobs:
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes (default 1)")
+        sub.add_argument("--jobs", type=_positive_int, default=1,
+                         help="parallel worker processes, >= 1 (default 1)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -118,9 +140,9 @@ def make_parser() -> argparse.ArgumentParser:
     dg = subs.add_parser("diagnose", help="recovery diagnostics of a model file")
     dg.add_argument("--model", required=True, help="parameterized model file")
     dg.add_argument("--samples", type=_int_list, default=[],
-                    help="sample sizes at which to evaluate the success bounds")
-    dg.add_argument("--max-quartets", type=int, default=None,
-                    help="subsample this many quartets on large trees")
+                    help="sample sizes (>= 1) at which to evaluate the success bounds")
+    dg.add_argument("--max-quartets", type=_positive_int, default=None,
+                    help="subsample this many quartets (>= 1) on large trees")
     _add_common(dg, with_jobs=False)
     return parser
 
@@ -141,9 +163,7 @@ def cmd_quartet_bench(args) -> int:
         return EXIT_USAGE
     t0 = time.perf_counter()
     table = run_quartet_experiment(cfg, jobs=args.jobs)
-    table.write_csv(args.out)
-    _write_manifest(args, time.perf_counter() - t0)
-    return EXIT_OK
+    return _write_outputs(args, table.write_csv, t0)
 
 
 def cmd_tree_bench(args) -> int:
@@ -161,18 +181,16 @@ def cmd_tree_bench(args) -> int:
         return EXIT_USAGE
     t0 = time.perf_counter()
     table = run_tree_experiment(cfg, jobs=args.jobs)
-    table.write_csv(args.out)
-    _write_manifest(args, time.perf_counter() - t0)
-    return EXIT_OK
+    return _write_outputs(args, table.write_csv, t0)
 
 
 def cmd_build(args) -> int:
     try:
-        kind, spectral_k = parse_method(args.method)
+        family, spectral_k = parse_method(args.method)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if kind == "oracle":
+    if family == "oracle":
         print("error: method 'oracle' needs a known model and is only available "
               "in the benchmark commands", file=sys.stderr)
         return EXIT_USAGE
@@ -187,11 +205,11 @@ def cmd_build(args) -> int:
     if samples.d < 4:
         print(f"error: need at least 4 variables, got {samples.d}", file=sys.stderr)
         return EXIT_DATA
-    if kind == "spectral" and spectral_k > samples.n_states:
+    if family == "spectral" and spectral_k > samples.n_states:
         print(f"error: spectral rank {spectral_k} exceeds state count "
               f"{samples.n_states}", file=sys.stderr)
         return EXIT_USAGE
-    bins = samples.n_states ** (4 if kind == "tensor" else 2)
+    bins = samples.n_states ** (4 if family == "tensor" else 2)
     if bins > MAX_TABLE_BINS:
         print(f"error: {samples.n_states} states make tables of {bins} bins for "
               f"method {args.method}, over the limit of {MAX_TABLE_BINS}", file=sys.stderr)
@@ -202,10 +220,7 @@ def cmd_build(args) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(to_newick(tree) + "\n")
-    _write_manifest(args, time.perf_counter() - t0)
-    return EXIT_OK
+    return _write_outputs(args, _text_writer(to_newick(tree) + "\n"), t0)
 
 
 def cmd_diagnose(args) -> int:
@@ -248,13 +263,10 @@ def cmd_diagnose(args) -> int:
         rows.append((f"quartet_success_bound_m{m}", qb))
         rows.append((f"tree_success_bound_m{m}", tb))
     print("\n".join(report))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("quantity,value\n")
-        for key, val in rows:
-            fh.write(f"{key},{val:.12g}\n" if isinstance(val, float)
-                     else f"{key},{val}\n")
-    _write_manifest(args, time.perf_counter() - t0)
-    return EXIT_OK
+    text = "quantity,value\n" + "".join(
+        f"{key},{val:.12g}\n" if isinstance(val, float) else f"{key},{val}\n"
+        for key, val in rows)
+    return _write_outputs(args, _text_writer(text), t0)
 
 
 _COMMANDS = {

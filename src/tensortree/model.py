@@ -10,7 +10,7 @@ all user-facing data (samples, CSV); arrays are 0-based internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
@@ -136,9 +136,6 @@ class LatentTree:
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted((u, v) for u, vs in self._adj.items() for v in vs if u < v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
 
     def bfs_edges(self, root: int) -> list[tuple[int, int]]:
         """(parent, child) pairs of the tree oriented away from ``root``."""
@@ -272,7 +269,7 @@ def exact_quartet_distribution(tree: LatentTree, leaves: Sequence[int]) -> Joint
     total = values.sum()
     if abs(total - 1.0) > 1e-10:
         raise ModelError(f"quartet marginal sums to {total!r}, parameters inconsistent")
-    return JointTensor4(values / total, kind="exact")
+    return JointTensor4(values / total)
 
 
 def pairwise_distribution(tree: LatentTree, i: int, j: int) -> np.ndarray:
@@ -284,11 +281,6 @@ def pairwise_distribution(tree: LatentTree, i: int, j: int) -> np.ndarray:
     t_i = tree.path_transition(anchor, i)
     t_j = tree.path_transition(anchor, j)
     return t_i @ np.diag(tree.node_marginal(anchor)) @ t_j.T
-
-
-def marginal(tree: LatentTree, i: int) -> np.ndarray:
-    """Exact marginal P(X_i) of a single node."""
-    return tree.node_marginal(i)
 
 
 def reroot(tree: LatentTree, new_root: int) -> LatentTree:
@@ -420,33 +412,28 @@ def sample(tree: LatentTree, m: int, seed) -> SampleSet:
                      n_states=p.n)
 
 
-def _frequencies(samples: SampleSet, idx: tuple[int, ...], n: int | None) -> np.ndarray:
-    """Relative-frequency table of columns ``idx``, one axis of length n each."""
+def _frequencies(samples: SampleSet, idx: tuple[int, ...]) -> np.ndarray:
+    """Relative-frequency table of columns ``idx``, one axis of length n_states each."""
     if min(idx) < 0 or max(idx) >= samples.d:
         raise ValueError(f"column index out of range 0..{samples.d - 1}")
-    n = samples.n_states if n is None else int(n)
+    n = samples.n_states
     cols = samples.columns[list(idx)]
-    # Stored states are below n_states; only a smaller n needs a scan.
-    if n < samples.n_states and cols.max() >= n:
-        raise ValueError(f"state out of range 1..{n} in selected columns")
     flat = cols[0].astype(np.intp)  # the flat index overflows the store's dtype
     for c in cols[1:]:
         flat = flat * n + c
     return np.bincount(flat, minlength=n ** len(idx)).reshape((n,) * len(idx)) / samples.m
 
 
-def empirical_quartet_tensor(samples: SampleSet, idx: Sequence[int],
-                             n: int | None = None) -> JointTensor4:
+def empirical_quartet_tensor(samples: SampleSet, idx: Sequence[int]) -> JointTensor4:
     """Relative-frequency 4-way table of four sample columns; no smoothing."""
     idx = tuple(int(i) for i in idx)
     if len(idx) != 4 or len(set(idx)) != 4:
         raise ValueError(f"need four distinct column indices, got {idx}")
-    return JointTensor4(_frequencies(samples, idx, n), kind="empirical")
+    return JointTensor4(_frequencies(samples, idx))
 
 
-def empirical_pairwise(samples: SampleSet, i: int, j: int,
-                       n: int | None = None) -> np.ndarray:
+def empirical_pairwise(samples: SampleSet, i: int, j: int) -> np.ndarray:
     """Relative-frequency pairwise table of two sample columns."""
     if i == j:
         raise ValueError("need two distinct column indices")
-    return _frequencies(samples, (int(i), int(j)), n)
+    return _frequencies(samples, (int(i), int(j)))

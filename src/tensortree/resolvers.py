@@ -52,12 +52,12 @@ def _decide(scores, minimize: bool) -> QuartetVerdict:
 
 def resolve_nuclear(tensor: JointTensor4) -> QuartetVerdict:
     """Pick the pairing whose unfolding has the smallest nuclear norm."""
-    scores = [spectral(unfold(tensor, rel)).nuclear_norm for rel in QuartetRelation]
+    scores = [spectral(unfold(tensor, rel)).sum() for rel in QuartetRelation]
     return _decide(scores, minimize=True)
 
 
 def _top_k_product(table: np.ndarray, k: int) -> float:
-    sv = np.array(spectral(table).singular_values)
+    sv = spectral(table)
     # Singular values at roundoff level are exact zeros of the population
     # table; keeping them would turn exact ties into noise-driven verdicts.
     if sv.size and sv[0] > 0:

@@ -46,18 +46,15 @@ class JointTensor4:
     """Joint probability table of four discrete variables with n states each.
 
     ``values[x1-1, x2-1, x3-1, x4-1]`` is the probability (or relative
-    frequency for ``kind="empirical"``) of the outcome (x1, x2, x3, x4).
+    frequency) of the outcome (x1, x2, x3, x4).
     """
 
     values: np.ndarray
-    kind: str = "exact"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 4 or len(set(v.shape)) != 1:
             raise ValueError(f"expected an n x n x n x n array, got shape {v.shape}")
-        if self.kind not in ("exact", "empirical"):
-            raise ValueError(f"kind must be 'exact' or 'empirical', got {self.kind!r}")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("tensor entries must be finite and nonnegative")
         if abs(v.sum() - 1.0) > 1e-9:
@@ -67,15 +64,6 @@ class JointTensor4:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Full singular spectrum of a matrix plus the two norms derived from it."""
-
-    singular_values: np.ndarray
-    nuclear_norm: float
-    frobenius_norm: float
 
 
 def unfold(tensor: JointTensor4, grouping: QuartetRelation) -> np.ndarray:
@@ -89,8 +77,7 @@ def unfold(tensor: JointTensor4, grouping: QuartetRelation) -> np.ndarray:
     return tensor.values.transpose(axes).reshape(n * n, n * n, order="F")
 
 
-def refold(matrix: np.ndarray, grouping: QuartetRelation, n: int,
-           kind: str = "exact") -> JointTensor4:
+def refold(matrix: np.ndarray, grouping: QuartetRelation, n: int) -> JointTensor4:
     """Inverse of :func:`unfold`: rebuild the tensor from one of its unfoldings."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (n * n, n * n):
@@ -98,11 +85,11 @@ def refold(matrix: np.ndarray, grouping: QuartetRelation, n: int,
     axes = _UNFOLD_AXES[QuartetRelation(grouping)]
     permuted = m.reshape(n, n, n, n, order="F")
     inverse = np.argsort(axes)
-    return JointTensor4(permuted.transpose(inverse), kind=kind)
+    return JointTensor4(permuted.transpose(inverse))
 
 
-def spectral(matrix: np.ndarray) -> SpectralSummary:
-    """Singular values plus nuclear and Frobenius norms of a dense matrix."""
+def spectral(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of a dense matrix, in descending order."""
     m = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -110,16 +97,12 @@ def spectral(matrix: np.ndarray) -> SpectralSummary:
         sv = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value decomposition failed: {exc}") from exc
-    return SpectralSummary(
-        singular_values=sv,
-        nuclear_norm=float(sv.sum()),
-        frobenius_norm=float(np.linalg.norm(m)),
-    )
+    return sv
 
 
 def nuclear_norm(matrix: np.ndarray) -> float:
     """Sum of all singular values."""
-    return spectral(matrix).nuclear_norm
+    return float(spectral(matrix).sum())
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,7 +125,7 @@ def numerical_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
     """Number of singular values above tol times the largest one."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sv = spectral(matrix).singular_values
+    sv = spectral(matrix)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))

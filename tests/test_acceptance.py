@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tensortree import (JointTensor4, QuartetRelation, build_tree,
-                        distance_matrix, from_newick, marginal, neighbor_join,
+                        distance_matrix, from_newick, neighbor_join,
                         pairwise_distribution, resolve_nuclear, resolve_oracle,
                         robinson_foulds, to_newick)
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
@@ -151,8 +151,7 @@ def test_empirical_failure_rate_bound():
         rng = np.random.default_rng([8, m])
         counts = rng.multinomial(m, p, size=2000)
         fails = sum(
-            resolve_nuclear(JointTensor4(c.reshape(n, n, n, n) / m,
-                                         kind="empirical")).relation
+            resolve_nuclear(JointTensor4(c.reshape(n, n, n, n) / m)).relation
             != QuartetRelation.PAIR_12_34 for c in counts)
         rate = fails / 2000
         bound = min(1.0, 8 * math.exp(-m * d.alpha_min ** 2 / 32))
@@ -228,7 +227,7 @@ def test_nj_population_consistency():
         tree = parameterize(topo, 3, 3, 0.9, [10, seed], hidden_base="identity")
         tables = {(i, j): pairwise_distribution(tree, i, j)
                   for i, j in itertools.combinations(tree.leaves, 2)}
-        marg = [marginal(tree, i) for i in tree.leaves]
+        marg = [tree.node_marginal(i) for i in tree.leaves]
         built = neighbor_join(distance_matrix(tables, marg),
                               [tree.leaf_names[i] for i in tree.leaves])
         failures += robinson_foulds(built, tree) != 0
@@ -236,7 +235,7 @@ def test_nj_population_consistency():
     tree = random_tree_model(6, 0.5, 4, 2, 0.8, 11, hidden_base="identity")
     tables = {(i, j): pairwise_distribution(tree, i, j)
               for i, j in itertools.combinations(tree.leaves, 2)}
-    marg = [marginal(tree, i) for i in tree.leaves]
+    marg = [tree.node_marginal(i) for i in tree.leaves]
     dist = distance_matrix(tables, marg)
     sentinel_used = bool(np.isinf(dist).any())
     built = neighbor_join(dist, [tree.leaf_names[i] for i in tree.leaves])
@@ -267,7 +266,7 @@ def test_metric_and_io_suite():
                   for i, d in enumerate(np.linspace(4, 20, 100))))
     vals = np.zeros((2, 2, 2, 2))
     vals[1, 0, 0, 0] = 1.0
-    m = unfold(JointTensor4(vals, kind="exact"), QuartetRelation.PAIR_12_34)
+    m = unfold(JointTensor4(vals), QuartetRelation.PAIR_12_34)
     expected = np.zeros((4, 4))
     expected[1, 0] = 1.0
     fixture_ok = np.array_equal(m, expected)

@@ -1,13 +1,10 @@
 """Unit tests for the divide-and-conquer tree builder."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from tensortree import (QuartetRelation, build_tree, choose_balanced_root,
-                        insert_leaf, quartet_tree, resolve_oracle,
-                        robinson_foulds)
+                        quartet_tree, resolve_oracle, robinson_foulds)
 from tensortree.bench import random_topology
 from tensortree.model import LatentTree
 
@@ -164,38 +161,6 @@ class TestChooseBalancedRoot:
         assert largest_branch(t, root) == min(largest_branch(t, h) for h in t.hidden)
 
 
-class TestInsertLeaf:
-    def test_bookkeeping(self):
-        t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
-        edge = t.edges()[0]
-        t2 = insert_leaf(t, edge, 9)
-        assert t2.d == 5 and len(t2.hidden) == 3
-        assert all(len(t2.neighbors(h)) == 3 for h in t2.hidden)
-
-    def test_all_edges_give_distinct_topologies(self):
-        t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
-        results = [insert_leaf(t, e, 9) for e in t.edges()]
-        for a, b in itertools.combinations(results, 2):
-            assert robinson_foulds(a, b) > 0
-
-    def test_insert_keeps_original_quartet(self):
-        for rel in QuartetRelation:
-            t = quartet_tree([0, 1, 2, 3], rel)
-            for edge in t.edges():
-                t2 = insert_leaf(t, edge, 9)
-                assert resolve_oracle(t2, (0, 1, 2, 3)) == rel
-
-    def test_duplicate_leaf_rejected(self):
-        t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
-        with pytest.raises(ValueError):
-            insert_leaf(t, t.edges()[0], 2)
-
-    def test_missing_edge_rejected(self):
-        t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
-        with pytest.raises(ValueError):
-            insert_leaf(t, (0, 2), 9)
-
-
 class TestTrace:
     def test_counts_and_depths(self):
         truth = random_topology(16, 0.5, 6)
@@ -208,13 +173,13 @@ class TestTrace:
 class TestMatchesReference:
     @pytest.mark.parametrize("d", [5, 8, 13, 32])
     @pytest.mark.parametrize("shuffle", [False, True])
-    @pytest.mark.parametrize("kind", ["oracle", "random"])
-    def test_same_verdicts_depths_and_edges(self, d, shuffle, kind):
+    @pytest.mark.parametrize("source", ["oracle", "random"])
+    def test_same_verdicts_depths_and_edges(self, d, shuffle, source):
         for seed in range(3):
             truth = random_topology(d, 0.5, seed)
 
             def resolver():
-                if kind == "oracle":
+                if source == "oracle":
                     return oracle_resolver(truth)
                 return random_resolver(seed + 100)
 

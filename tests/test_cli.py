@@ -227,3 +227,73 @@ class TestDiagnose:
     def test_missing_model_file(self, tmp_path):
         assert main(["diagnose", "--model", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "d.csv")]) == 3
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+QUARTET_ARGS = ["quartet-bench", "--kh", "2", "--kg", "2", "--n", "4", "--mu", "0.5",
+                "--samples", "50", "--trials", "2", "--methods", "tensor"]
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("diagnose") / "model.txt"
+    write_model(random_tree_model(5, 0.5, 4, 2, 0.6, 2, hidden_base="identity"), path)
+    return path
+
+
+class TestOutOfRangeValues:
+    """Values no command can use are usage errors (exit 2) that name the
+    option, and no output is written."""
+
+    def assert_usage_error(self, argv, out, capsys, message):
+        assert exit_code(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_max_quartets(self, model_file, tmp_path, capsys):
+        self.assert_usage_error(["diagnose", "--model", str(model_file),
+                                 "--max-quartets", "-1"], tmp_path / "d.csv", capsys,
+                                "--max-quartets: expected a positive integer, got '-1'")
+
+    def test_zero_max_quartets(self, model_file, tmp_path, capsys):
+        self.assert_usage_error(["diagnose", "--model", str(model_file),
+                                 "--max-quartets", "0"], tmp_path / "d.csv", capsys,
+                                "--max-quartets: expected a positive integer, got '0'")
+
+    def test_negative_diagnose_samples(self, model_file, tmp_path, capsys):
+        self.assert_usage_error(["diagnose", "--model", str(model_file),
+                                 "--samples=-5"], tmp_path / "d.csv", capsys,
+                                "--samples: expected a positive integer, got '-5'")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs(self, tmp_path, capsys, jobs):
+        self.assert_usage_error(QUARTET_ARGS + ["--jobs", jobs], tmp_path / "q.csv",
+                                capsys, f"--jobs: expected a positive integer, got '{jobs}'")
+
+    def test_empty_method_list(self, tmp_path, capsys):
+        argv = QUARTET_ARGS[:-1] + [","]  # --methods ,
+        self.assert_usage_error(argv, tmp_path / "q.csv", capsys,
+                                "need at least one method")
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written is a data error (exit 3)."""
+
+    def test_bench_command(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "q.csv"
+        assert exit_code(QUARTET_ARGS + ["--out", str(out)]) == 3
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_build(self, fixture_data, tmp_path, capsys):
+        _, csv = fixture_data
+        out = tmp_path / "missing" / "tree.nwk"
+        assert exit_code(["build", "--input", str(csv), "--method", "nj",
+                          "--out", str(out)]) == 3
+        assert f"cannot write {out}" in capsys.readouterr().err

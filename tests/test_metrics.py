@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensortree import (QuartetRelation, bipartitions, from_newick,
                         quartet_tree, robinson_foulds, to_newick)
@@ -150,3 +152,22 @@ class TestNewick:
                          names={0: "a b", 1: "c", 2: "d", 3: "e"})
         with pytest.raises(ValueError):
             to_newick(t)
+
+
+TOPOLOGIES = st.builds(random_topology, st.integers(4, 64), st.floats(0.05, 0.95),
+                       st.integers(0, 2 ** 32 - 1))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(t=TOPOLOGIES)
+    def test_zero_from_itself_and_newick_round_trip(self, t):
+        assert robinson_foulds(t, t) == 0
+        assert robinson_foulds(from_newick(to_newick(t)), t) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(4, 64), beta=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+           seed=st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)))
+    def test_symmetric(self, d, beta, seed):
+        a, b = (random_topology(d, beta[i], seed[i]) for i in range(2))
+        assert robinson_foulds(a, b) == robinson_foulds(b, a)

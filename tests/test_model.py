@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from tensortree import model
 from tensortree import (LatentTree, QuartetRelation, SampleSet, TreeParameters,
                         empirical_pairwise, empirical_quartet_tensor,
-                        exact_quartet_distribution, marginal,
-                        pairwise_distribution, quartet_tree, reroot, sample)
+                        exact_quartet_distribution, pairwise_distribution,
+                        quartet_tree, reroot, sample)
 from tensortree.bench import parameterize, random_topology, random_tree_model
 from tensortree.exceptions import ModelError, ParseError
 from tensortree.resolvers import resolve_oracle
@@ -84,8 +84,8 @@ class TestExactQuartet:
 class TestPairwise:
     def test_margins(self, small_tree):
         p = pairwise_distribution(small_tree, 0, 3)
-        assert np.allclose(p.sum(axis=1), marginal(small_tree, 0), atol=1e-12)
-        assert np.allclose(p.sum(axis=0), marginal(small_tree, 3), atol=1e-12)
+        assert np.allclose(p.sum(axis=1), small_tree.node_marginal(0), atol=1e-12)
+        assert np.allclose(p.sum(axis=0), small_tree.node_marginal(3), atol=1e-12)
 
     def test_same_leaf_rejected(self, small_tree):
         with pytest.raises(ModelError):
@@ -199,14 +199,6 @@ class TestCountsMatchReference:
             assert np.array_equal(empirical_pairwise(s, *idx[:2]),
                                   reference_counts(rows, idx[:2], n) / m)
 
-    def test_larger_explicit_n_pads(self):
-        rows = np.array([[1, 2, 1, 2], [2, 2, 1, 1]])
-        s = SampleSet(rows=rows, variable_names=list("abcd"), n_states=2)
-        assert np.array_equal(empirical_pairwise(s, 0, 1, n=3),
-                              reference_counts(rows, (0, 1), 3) / 2)
-        assert np.array_equal(empirical_quartet_tensor(s, (0, 1, 2, 3), n=3).values,
-                              reference_counts(rows, (0, 1, 2, 3), 3) / 2)
-
     def test_column_store_dtype(self):
         s = SampleSet(rows=np.array([[1, 300, 1, 2]]), variable_names=list("abcd"),
                       n_states=300)
@@ -223,13 +215,6 @@ class TestPairwiseValidation:
     def test_index_out_of_range(self, i, j):
         with pytest.raises(ValueError, match="column index out of range 0..3"):
             empirical_pairwise(self.samples(), i, j)
-
-    def test_state_above_explicit_n(self):
-        with pytest.raises(ValueError, match="state out of range 1..2"):
-            empirical_pairwise(self.samples(), 0, 2, n=2)
-        # Columns whose states all lie in 1..n are counted.
-        assert empirical_pairwise(self.samples(), 0, 1, n=2).tolist() == [
-            [0.0, 0.5], [0.5, 0.0]]
 
     def test_same_column(self):
         with pytest.raises(ValueError, match="two distinct"):
@@ -313,8 +298,8 @@ def csv_texts(draw):
     odd = st.lists(st.sampled_from(ODD_CELLS + ["1", "2"]),
                    min_size=1, max_size=4).map(",".join)  # often ragged
     blank = st.sampled_from(["", "  ", "\t"])
-    kind = st.sampled_from([good, good, good, good, odd, blank])
-    lines = draw(st.lists(kind.flatmap(lambda s: s), max_size=16))
+    line = st.sampled_from([good, good, good, good, odd, blank])
+    lines = draw(st.lists(line.flatmap(lambda s: s), max_size=16))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     header = ",".join(f"v{i}" for i in range(width))
     return eol.join([header, *lines]) + draw(st.sampled_from(["", eol]))
@@ -406,8 +391,8 @@ ORIENTATION_TREES = [("random", d, beta, seed) for d in (4, 5, 9, 33, 200)
 ORIENTATION_TREES += [("caterpillar", d, None, None) for d in (4, 5, 60, 300)]
 
 
-def orientation_tree(kind, d, beta, seed):
-    return caterpillar(d) if kind == "caterpillar" else random_topology(d, beta, [d, seed])
+def orientation_tree(shape, d, beta, seed):
+    return caterpillar(d) if shape == "caterpillar" else random_topology(d, beta, [d, seed])
 
 
 @pytest.mark.parametrize("case", ORIENTATION_TREES, ids=str)

@@ -8,7 +8,7 @@ import pytest
 
 from tensortree import (SampleSet, additive_distance, distance_matrix,
                         empirical_pairwise, neighbor_join, pairwise_distribution,
-                        marginal, robinson_foulds)
+                        robinson_foulds)
 from tensortree.bench import parameterize, random_topology
 from tensortree.nj import INFINITE_SENTINEL
 
@@ -91,7 +91,7 @@ class TestAdditiveDistance:
         for a, b in itertools.combinations(leaves, 2):
             p = pairwise_distribution(tree, a, b)
             dist[(a, b)] = dist[(b, a)] = additive_distance(
-                p, marginal(tree, a), marginal(tree, b))
+                p, tree.node_marginal(a), tree.node_marginal(b))
         for q in itertools.combinations(leaves, 4):
             sums = sorted([dist[(q[0], q[1])] + dist[(q[2], q[3])],
                            dist[(q[0], q[2])] + dist[(q[1], q[3])],
@@ -153,7 +153,7 @@ class TestNeighborJoin:
                                 hidden_base="identity")
             tables = {(i, j): pairwise_distribution(tree, i, j)
                       for i, j in itertools.combinations(tree.leaves, 2)}
-            marg = [marginal(tree, i) for i in tree.leaves]
+            marg = [tree.node_marginal(i) for i in tree.leaves]
             built = neighbor_join(distance_matrix(tables, marg),
                                   [tree.leaf_names[i] for i in tree.leaves])
             assert robinson_foulds(built, tree) == 0

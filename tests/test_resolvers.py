@@ -22,7 +22,7 @@ def independent_tensor(n, seed):
     rng = np.random.default_rng(seed)
     ps = [rng.dirichlet(np.ones(n)) for _ in range(4)]
     vals = np.einsum("a,b,c,d->abcd", *ps)
-    return JointTensor4(vals, kind="exact")
+    return JointTensor4(vals)
 
 
 class TestNuclear:
@@ -53,7 +53,7 @@ class TestNuclear:
         model = dependence_limited_model(2, 2, 4, 0.9, 5)
         t = model.exact_tensor()
         v = resolve_nuclear(t)
-        swapped = JointTensor4(t.values.transpose(0, 2, 1, 3), kind="exact")
+        swapped = JointTensor4(t.values.transpose(0, 2, 1, 3))
         v2 = resolve_nuclear(swapped)
         assert v2.relation == _SWAP_23[v.relation]
 

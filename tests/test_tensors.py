@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tensortree import (JointTensor4, QuartetRelation, khatri_rao, kronecker,
                         nuclear_norm, numerical_rank, refold, spectral, unfold)
@@ -11,7 +14,7 @@ from tensortree.exceptions import NumericalError
 def random_tensor(n, seed):
     rng = np.random.default_rng(seed)
     vals = rng.random((n, n, n, n))
-    return JointTensor4(vals / vals.sum(), kind="exact")
+    return JointTensor4(vals / vals.sum())
 
 
 class TestUnfold:
@@ -20,7 +23,7 @@ class TestUnfold:
         # unfolding: row x1 + n(x2-1), column x3 + n(x4-1).
         vals = np.zeros((2, 2, 2, 2))
         vals[1, 0, 0, 0] = 1.0
-        t = JointTensor4(vals, kind="exact")
+        t = JointTensor4(vals)
         a = unfold(t, QuartetRelation.PAIR_12_34)
         expected = np.zeros((4, 4))
         expected[1, 0] = 1.0
@@ -50,42 +53,42 @@ class TestUnfold:
     def test_permutation_consistency(self):
         # Unfolding B of P equals unfolding A of P with axes 2 and 3 swapped.
         t = random_tensor(3, 2)
-        swapped = JointTensor4(t.values.transpose(0, 2, 1, 3), kind="exact")
+        swapped = JointTensor4(t.values.transpose(0, 2, 1, 3))
         assert np.array_equal(unfold(t, QuartetRelation.PAIR_13_24),
                               unfold(swapped, QuartetRelation.PAIR_12_34))
 
     def test_refold_round_trip(self):
         t = random_tensor(3, 3)
         for rel in QuartetRelation:
-            back = refold(unfold(t, rel), rel, 3, kind="exact")
+            back = refold(unfold(t, rel), rel, 3)
             assert np.array_equal(back.values, t.values)
 
 
 class TestSpectral:
     def test_identity(self):
-        s = spectral(np.eye(2))
-        assert s.singular_values == pytest.approx([1.0, 1.0])
-        assert s.nuclear_norm == pytest.approx(2.0)
+        sv = spectral(np.eye(2))
+        assert sv == pytest.approx([1.0, 1.0])
+        assert nuclear_norm(np.eye(2)) == pytest.approx(2.0)
 
     def test_rank_one(self):
-        s = spectral(np.array([[3.0, 0.0], [4.0, 0.0]]))
-        assert s.nuclear_norm == pytest.approx(5.0)
-        assert s.frobenius_norm == pytest.approx(5.0)
+        m = np.array([[3.0, 0.0], [4.0, 0.0]])
+        assert spectral(m) == pytest.approx([5.0, 0.0])
+        assert nuclear_norm(m) == pytest.approx(5.0)
 
     def test_matches_eigendecomposition_oracle(self):
         m = np.random.default_rng(4).normal(size=(4, 4))
         eigs = np.linalg.eigvalsh(m.T @ m)
         oracle = np.sqrt(np.clip(eigs, 0, None)).sum()
-        assert spectral(m).nuclear_norm == pytest.approx(oracle, abs=1e-10)
+        assert spectral(m).sum() == pytest.approx(oracle, abs=1e-10)
 
     def test_summary_invariants(self):
         m = np.random.default_rng(5).normal(size=(6, 4))
-        s = spectral(m)
-        sv = np.asarray(s.singular_values)
+        sv = spectral(m)
+        assert sv.shape == (4,)
         assert np.all(np.diff(sv) <= 0) and np.all(sv >= 0)
-        assert s.nuclear_norm == pytest.approx(sv.sum(), abs=1e-10)
-        assert s.frobenius_norm ** 2 == pytest.approx((sv ** 2).sum(), abs=1e-10)
-        assert s.frobenius_norm <= s.nuclear_norm + 1e-12
+        assert nuclear_norm(m) == pytest.approx(sv.sum(), abs=1e-10)
+        assert (sv ** 2).sum() == pytest.approx(np.linalg.norm(m) ** 2, abs=1e-10)
+        assert np.linalg.norm(m) <= nuclear_norm(m) + 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises((NumericalError, ValueError)):
@@ -104,6 +107,36 @@ class TestSpectral:
             x = rng.normal(size=(5, 5))
             e = 0.1 * rng.normal(size=(5, 5))
             assert abs(nuclear_norm(x + e) - nuclear_norm(x)) <= nuclear_norm(e) + 1e-10
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 5))
+    def test_refold_inverts_unfold(self, data, n):
+        vals = data.draw(arrays(float, (n,) * 4, elements=st.floats(1e-3, 1.0)))
+        t = JointTensor4(vals / vals.sum())
+        for rel in QuartetRelation:
+            assert np.array_equal(refold(unfold(t, rel), rel, n).values, t.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=8),
+                    elements=st.floats(-1e3, 1e3)))
+    def test_spectral_invariants(self, m):
+        sv = spectral(m)
+        assert sv.shape == (min(m.shape),)
+        assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
+        assert nuclear_norm(m) == pytest.approx(sv.sum(), rel=1e-12, abs=1e-12)
+        assert (sv ** 2).sum() == pytest.approx(np.linalg.norm(m) ** 2, rel=1e-9, abs=1e-9)
+        assert numerical_rank(m) <= min(m.shape)
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=arrays(float, (3, 4), elements=st.floats(-1.0, 1.0)),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), at=st.tuples(
+               st.integers(0, 2), st.integers(0, 3)))
+    def test_spectral_rejects_nonfinite(self, m, bad, at):
+        m[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spectral(m)
 
 
 class TestProducts:
@@ -145,8 +178,8 @@ class TestJointTensor4:
         vals = np.full((2, 2, 2, 2), 1 / 16.0)
         vals[0, 0, 0, 0] = -vals[0, 0, 0, 0]
         with pytest.raises(ValueError):
-            JointTensor4(vals, kind="exact")
+            JointTensor4(vals)
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
-            JointTensor4(np.full((2, 2, 2, 2), 1.0), kind="exact")
+            JointTensor4(np.full((2, 2, 2, 2), 1.0))
