@@ -22,7 +22,7 @@ from .exceptions import ModelError, TensorTreeError
 from .metrics import robinson_foulds
 from .model import (LatentTree, SampleSet, TreeParameters, bfs_edges,
                     empirical_pairwise, empirical_quartet_tensor,
-                    exact_quartet_distribution, pairwise_distribution, sample)
+                    exact_quartet_distribution, sample)
 from .nj import INFINITE_SENTINEL, additive_distance, distance_matrix, neighbor_join
 from .resolvers import (PAIR_KEYS, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
@@ -166,9 +166,11 @@ def dependence_limited_model(k_h: int, k_g: int, n: int, mu: float, seed) -> Qua
 def random_topology(d: int, beta: float, seed) -> LatentTree:
     """Binary latent tree over d leaves grown by recursive group splitting.
 
-    Each group of size g >= 4 splits into sizes clamp(round(beta*g), 2, g-2)
-    and the rest; size-3 groups split 1/2; size-2 groups terminate.  A hidden
-    node joins the two parts of every split.
+    Each group of size g >= 4 is permuted and splits into sizes
+    clamp(round(beta*g), 2, g-2) and the rest; groups of 2 or 3 split off one
+    leaf.  A hidden node joins the two parts of every split.  The recursion
+    runs on an explicit stack: permutations are drawn in left-first pre-order
+    and hidden ids given in post-order.
     """
     if d < 4:
         raise ValueError(f"need d >= 4, got {d}")
@@ -176,29 +178,25 @@ def random_topology(d: int, beta: float, seed) -> LatentTree:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     rng = _as_rng(seed)
     adj: dict[int, list[int]] = {i: [] for i in range(d)}
-    next_hidden = [d]
-
-    def grow(group):
-        if len(group) == 1:
-            return group[0]
-        group = list(rng.permutation(group))
-        g = len(group)
-        if g == 2:
-            s = 1
-        elif g == 3:
-            s = 1
+    parts = []  # roots of the finished subtrees
+    stack = [list(range(d))]  # groups to grow; None joins the last two parts
+    while stack:
+        group = stack.pop()
+        if group is None:
+            right, left = parts.pop(), parts.pop()
+            h = len(adj)  # hidden ids run from d upward
+            adj[h] = [left, right]
+            adj[left].append(h)
+            adj[right].append(h)
+            parts.append(h)
+        elif len(group) == 1:
+            parts.append(group[0])
         else:
-            s = int(min(max(round(beta * g), 2), g - 2))
-        left = grow(group[:s])
-        right = grow(group[s:])
-        h = next_hidden[0]
-        next_hidden[0] += 1
-        adj[h] = [left, right]
-        adj[left].append(h)
-        adj[right].append(h)
-        return h
-
-    root = grow(list(range(d)))
+            group = list(rng.permutation(group))
+            g = len(group)
+            s = 1 if g <= 3 else int(min(max(round(beta * g), 2), g - 2))
+            stack += [None, group[s:], group[:s]]
+    root = parts.pop()
     a, b = adj.pop(root)
     adj[a] = [x if x != root else b for x in adj[a]]
     adj[b] = [x if x != root else a for x in adj[b]]
@@ -282,18 +280,15 @@ class RecoveryDiagnostics:
         return 1.0 - 8.0 * factor * math.exp(-m * self.alpha_min ** 2 / 32.0)
 
 
-def _surrogate_gaps(p12: np.ndarray, p34: np.ndarray) -> float:
-    """Excess dependence of the wrong groupings, from pairwise tables only."""
+def _quartet_gaps(tensor: JointTensor4) -> tuple[float, float]:
+    """(theta, alpha) of a tensor whose true pairing is 12|34: the surrogate gap,
+    from its pairwise tables 12 and 34 only, and the nuclear-norm score gap."""
+    pairs = pairwise_tables(tensor)
+    p12, p34 = pairs[(1, 2)], pairs[(3, 4)]
     correct = float(np.linalg.norm(kronecker(p34, p12)))
-    wrong_b = nuclear_norm(kronecker(p34, p12))
-    wrong_c = nuclear_norm(kronecker(p34.T, p12))
-    return min(wrong_b - correct, wrong_c - correct)
-
-
-def _score_gap(tensor: JointTensor4, correct: QuartetRelation) -> float:
-    scores = resolve_nuclear(tensor).scores
-    return min(s - scores[correct - 1] for rel, s in zip(QuartetRelation, scores)
-               if rel != correct)
+    theta = min(nuclear_norm(kronecker(p34, p12)), nuclear_norm(kronecker(p34.T, p12))) - correct
+    right, *wrong = resolve_nuclear(tensor).scores
+    return theta, min(wrong) - right
 
 
 def diagnostics(model, max_quartets: int | None = None, seed=0) -> RecoveryDiagnostics:
@@ -325,9 +320,7 @@ def _assemble(theta_min, gamma_min, alpha_min, deltas, k, d) -> RecoveryDiagnost
 def _diagnostics_quartet(model: QuartetModel) -> RecoveryDiagnostics:
     p_h, p_g = model.hidden_marginals()
     delta = model.joint_hidden - np.outer(p_h, p_g)
-    pairs = pairwise_tables(model.exact_tensor())
-    theta = _surrogate_gaps(pairs[(1, 2)], pairs[(3, 4)])
-    alpha = _score_gap(model.exact_tensor(), model.true_relation)
+    theta, alpha = _quartet_gaps(model.exact_tensor())
     k = max(model.k_h, model.k_g)
     return _assemble(theta, min(p_h.min(), p_g.min()), alpha, [delta], k, 4)
 
@@ -336,12 +329,14 @@ def _diagnostics_tree(tree: LatentTree, max_quartets, seed) -> RecoveryDiagnosti
     params = tree.params
     if params is None:
         raise ModelError("tree is not parameterized")
+    if tree.d < 4:
+        raise ModelError(f"need at least 4 leaves, got {tree.d}")
     deltas = []
-    for u, v in tree.edges():
-        if tree.is_leaf(u) or tree.is_leaf(v):
-            continue
-        joint = tree.edge_joint(u, v)
-        deltas.append(joint - np.outer(tree.node_marginal(u), tree.node_marginal(v)))
+    for u, v in tree.parent_order():
+        if not tree.is_leaf(v):
+            p_u = tree.node_marginal(u)
+            joint = (params.cpts[(u, v)] * p_u).T  # P(u, v)
+            deltas.append(joint - np.outer(p_u, tree.node_marginal(v)))
     gamma_min = min(float(tree.node_marginal(h).min()) for h in tree.hidden)
     quartets = list(itertools.combinations(tree.leaves, 4))
     if max_quartets is not None and len(quartets) > max_quartets:
@@ -351,14 +346,11 @@ def _diagnostics_tree(tree: LatentTree, max_quartets, seed) -> RecoveryDiagnosti
     theta_min = math.inf
     alpha_min = math.inf
     for q in quartets:
-        rel = resolve_oracle(tree, q)
-        (g1, g2) = rel.groups
+        (g1, g2) = resolve_oracle(tree, q).groups
         ordered = (q[g1[0] - 1], q[g1[1] - 1], q[g2[0] - 1], q[g2[1] - 1])
-        p12 = pairwise_distribution(tree, ordered[0], ordered[1])
-        p34 = pairwise_distribution(tree, ordered[2], ordered[3])
-        theta_min = min(theta_min, _surrogate_gaps(p12, p34))
-        tensor = exact_quartet_distribution(tree, ordered)
-        alpha_min = min(alpha_min, _score_gap(tensor, QuartetRelation.PAIR_12_34))
+        theta, alpha = _quartet_gaps(exact_quartet_distribution(tree, ordered))
+        theta_min = min(theta_min, theta)
+        alpha_min = min(alpha_min, alpha)
     return _assemble(theta_min, gamma_min, alpha_min, deltas, params.k, tree.d)
 
 

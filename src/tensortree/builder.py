@@ -108,15 +108,14 @@ def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
 
 
 def build_tree(resolver: Callable, variables: Sequence[int], seed=0,
-               names: dict | None = None, shuffle: bool = False,
-               ) -> tuple[LatentTree, BuildTrace]:
+               names: dict | None = None) -> tuple[LatentTree, BuildTrace]:
     """Construct an unrooted latent tree over ``variables`` (leaf ids) using a
     quartet resolver.
 
     The resolver is called as ``resolver(a, b, c, d)`` with leaf ids and must
     return a :class:`QuartetRelation` (or a verdict carrying one).  Leaves are
-    inserted in input order; ``shuffle`` applies a seeded permutation first.
-    The seed also drives the random representative-leaf choices.
+    inserted in input order.  The seed drives the random representative-leaf
+    choices.
     """
     order = [int(v) for v in variables]
     if len(set(order)) != len(order):
@@ -124,8 +123,6 @@ def build_tree(resolver: Callable, variables: Sequence[int], seed=0,
     if len(order) < 4:
         raise ValueError(f"need at least 4 variables, got {len(order)}")
     rng = np.random.default_rng(seed)
-    if shuffle:
-        rng.shuffle(order)
     if names is None:
         names = {v: f"X{v}" for v in order}
     trace = BuildTrace()

@@ -22,7 +22,7 @@ from . import __version__
 from .bench import (QuartetExperimentConfig, TreeExperimentConfig,
                     diagnostics, parse_method, recover, run_quartet_experiment,
                     run_tree_experiment)
-from .exceptions import NumericalError, ParseError
+from .exceptions import ModelError, NumericalError, ParseError
 from .metrics import to_newick
 from .model import SampleSet
 from .modelfile import read_model
@@ -238,6 +238,9 @@ def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     try:
         diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
+    except ModelError as exc:  # e.g. fewer than 4 leaves
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

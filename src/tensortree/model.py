@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import ModelError, ParseError
-from .tensors import JointTensor4
+from .tensors import JointTensor4, QuartetRelation
 
 
 @dataclass
@@ -154,11 +154,6 @@ class LatentTree:
                 down.append(parent[down[-1]])
         return up + down[-2::-1]
 
-    def median(self, a: int, b: int, c: int) -> int:
-        """The unique node lying on all three pairwise paths."""
-        (node,) = set(self.path(a, b)) & set(self.path(a, c)) & set(self.path(b, c))
-        return node
-
     # -- parameterized queries ---------------------------------------------
 
     def _require_params(self) -> TreeParameters:
@@ -178,45 +173,10 @@ class LatentTree:
                 self._marginals[child] = p.cpts[(parent, child)] @ self._marginals[parent]
         return self._marginals[v]
 
-    def edge_conditional(self, src: int, dst: int) -> np.ndarray:
-        """P(dst | src) for adjacent nodes, in either direction."""
-        p = self._require_params()
-        if (src, dst) in p.cpts:
-            return np.asarray(p.cpts[(src, dst)], dtype=float)
-        if (dst, src) not in p.cpts:
-            raise ModelError(f"{src} and {dst} are not adjacent")
-        # Reverse P(src|dst) through the marginals.
-        forward = np.asarray(p.cpts[(dst, src)], dtype=float)  # (src_states, dst_states)
-        p_dst = self.node_marginal(dst)
-        p_src = self.node_marginal(src)
-        joint = forward * p_dst[None, :]  # (src, dst)
-        out = np.zeros((joint.shape[1], joint.shape[0]))
-        np.divide(joint.T, p_src[None, :], out=out, where=p_src[None, :] > 0)
-        return out
-
-    def path_transition(self, src: int, dst: int) -> np.ndarray:
-        """P(dst | src) composed along the tree path."""
-        nodes = self.path(src, dst)
-        t = None
-        for a, b in zip(nodes, nodes[1:]):
-            step = self.edge_conditional(a, b)
-            t = step if t is None else step @ t
-        if t is None:  # src == dst
-            k = self.node_marginal(src).shape[0]
-            return np.eye(k)
-        return t
-
-    def edge_joint(self, u: int, v: int) -> np.ndarray:
-        """P(u, v) for adjacent nodes, indexed (u_state, v_state)."""
-        cond = self.edge_conditional(u, v)  # (v, u)
-        return (cond * self.node_marginal(u)[None, :]).T
-
 
 def quartet_tree(leaf_ids: Sequence[int], relation, names: Mapping[int, str] | None = None,
                  hidden_start: int | None = None) -> LatentTree:
     """Four-leaf tree whose cherries follow the given pairing of positions 1..4."""
-    from .tensors import QuartetRelation
-
     a, b, c, d = leaf_ids
     (g1, g2) = QuartetRelation(relation).groups
     pos = {1: a, 2: b, 3: c, 4: d}
@@ -234,18 +194,29 @@ def quartet_tree(leaf_ids: Sequence[int], relation, names: Mapping[int, str] | N
 # ---------------------------------------------------------------------------
 
 
-def _branch_nodes(tree: LatentTree, leaves: Sequence[int]) -> tuple[int, int, tuple]:
-    """The two degree-3 nodes of the Steiner subtree of four leaves, with the
-    leaves regrouped so that the first two hang off the first node."""
-    from .resolvers import resolve_oracle
-
-    rel = resolve_oracle(tree, leaves)
-    (g1, g2) = rel.groups
-    p, q = leaves[g1[0] - 1], leaves[g1[1] - 1]
-    r, s = leaves[g2[0] - 1], leaves[g2[1] - 1]
-    h = tree.median(p, q, r)
-    g = tree.median(r, s, p)
-    return h, g, (p, q, r, s)
+def _exact_joint(tree: LatentTree, leaves: Sequence[int]) -> np.ndarray:
+    """Exact joint table of distinct leaves, axes in the given order, from one
+    pass up the tree.  Each node's table holds P(chosen leaves below it | its
+    state): axis 0 is the node's state, the other axis runs over the chosen
+    leaves below it jointly.  A subtree without a chosen leaf is skipped."""
+    p = tree._require_params()
+    if not all(map(tree.is_leaf, leaves)):
+        raise ModelError(f"not all of {tuple(leaves)} are leaves")
+    tables = {v: np.eye(p.n) for v in leaves}
+    below = {v: [v] for v in leaves}  # the chosen leaves behind each table's flat axis
+    for parent, child in reversed(tree.parent_order()):
+        if child not in tables:
+            continue
+        cpt = p.cpts[(parent, child)]
+        up = cpt.T @ tables.pop(child)  # sums out the child's state
+        if parent in tables:
+            mine = tables[parent]
+            up = (mine[:, :, None] * up[:, None, :]).reshape(len(mine), -1)
+        tables[parent] = up
+        below[parent] = below.get(parent, []) + below.pop(child)
+    joint = (p.root_marginal @ tables[p.root]).reshape((p.n,) * len(leaves))
+    order = below[p.root]
+    return joint.transpose([order.index(v) for v in leaves])
 
 
 def exact_quartet_distribution(tree: LatentTree, leaves: Sequence[int]) -> JointTensor4:
@@ -253,19 +224,7 @@ def exact_quartet_distribution(tree: LatentTree, leaves: Sequence[int]) -> Joint
     leaf order."""
     if len(set(leaves)) != 4:
         raise ModelError(f"need four distinct leaves, got {leaves}")
-    tree._require_params()
-    h, g, (p, q, r, s) = _branch_nodes(tree, leaves)
-    t_p = tree.path_transition(h, p)
-    t_q = tree.path_transition(h, q)
-    t_r = tree.path_transition(g, r)
-    t_s = tree.path_transition(g, s)
-    trans = tree.path_transition(h, g)  # P(g_state | h_state)
-    p_hg = (trans * tree.node_marginal(h)[None, :]).T  # (h, g)
-    values = np.einsum("ah,bh,hg,cg,dg->abcd", t_p, t_q, p_hg, t_r, t_s)
-    # Reorder axes from (p, q, r, s) back to the caller's leaf order.
-    grouped = (p, q, r, s)
-    perm = [grouped.index(x) for x in leaves]
-    values = values.transpose(perm) if perm != [0, 1, 2, 3] else values
+    values = _exact_joint(tree, leaves)
     total = values.sum()
     if abs(total - 1.0) > 1e-10:
         raise ModelError(f"quartet marginal sums to {total!r}, parameters inconsistent")
@@ -276,23 +235,7 @@ def pairwise_distribution(tree: LatentTree, i: int, j: int) -> np.ndarray:
     """Exact joint table P(X_i, X_j) of two distinct leaves."""
     if i == j:
         raise ModelError("pairwise distribution needs two distinct leaves")
-    tree._require_params()
-    anchor = tree.neighbors(i)[0]  # the hidden node a leaf hangs from
-    t_i = tree.path_transition(anchor, i)
-    t_j = tree.path_transition(anchor, j)
-    return t_i @ np.diag(tree.node_marginal(anchor)) @ t_j.T
-
-
-def reroot(tree: LatentTree, new_root: int) -> LatentTree:
-    """Equivalent parameterization oriented away from a different hidden root."""
-    p = tree._require_params()
-    if new_root not in tree.hidden:
-        raise ModelError(f"{new_root} is not a hidden node")
-    cpts = {(u, v): tree.edge_conditional(u, v)
-            for u, v in tree.bfs_edges(new_root)}
-    params = TreeParameters(n=p.n, k=p.k, root=new_root,
-                            root_marginal=tree.node_marginal(new_root), cpts=cpts)
-    return LatentTree(tree._adj, tree.leaf_names, params=params)
+    return _exact_joint(tree, (i, j))
 
 
 # ---------------------------------------------------------------------------

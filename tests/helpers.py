@@ -71,3 +71,32 @@ def mean_outcomes(table):
         assert not math.isnan(outcome), f"{method} at m={m}, trial {trial}: NaN outcome"
         groups.setdefault((method, m), []).append(outcome)
     return {key: float(np.mean(vals)) for key, vals in groups.items()}
+
+
+def recursive_random_topology(d, beta, seed):
+    """The adjacency ``bench.random_topology`` builds, grown by a recursion over
+    groups: the reference for its explicit stack (same draws, same hidden ids)."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    adj = {i: [] for i in range(d)}
+    next_hidden = [d]
+
+    def grow(group):
+        if len(group) == 1:
+            return group[0]
+        group = list(rng.permutation(group))
+        g = len(group)
+        s = 1 if g <= 3 else int(min(max(round(beta * g), 2), g - 2))
+        left = grow(group[:s])
+        right = grow(group[s:])
+        h = next_hidden[0]
+        next_hidden[0] += 1
+        adj[h] = [left, right]
+        adj[left].append(h)
+        adj[right].append(h)
+        return h
+
+    root = grow(list(range(d)))
+    a, b = adj.pop(root)
+    adj[a] = [x if x != root else b for x in adj[a]]
+    adj[b] = [x if x != root else a for x in adj[b]]
+    return {int(u): tuple(sorted(int(v) for v in vs)) for u, vs in adj.items()}

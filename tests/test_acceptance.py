@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from tensortree import (JointTensor4, QuartetRelation, build_tree,
                         distance_matrix, from_newick, neighbor_join,

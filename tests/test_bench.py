@@ -14,12 +14,12 @@ from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
                               random_quartet_model, random_topology,
                               random_tree_model, recover,
                               run_quartet_experiment, run_tree_experiment,
-                              uniform_base, with_dependence_scaled)
+                              with_dependence_scaled)
 from tensortree.exceptions import ModelError
-from tensortree.model import sample
-from tensortree.tensors import kronecker, nuclear_norm, unfold
+from tensortree.model import LatentTree, TreeParameters, sample
+from tensortree.tensors import nuclear_norm, unfold
 
-from helpers import mean_outcomes
+from helpers import mean_outcomes, recursive_random_topology
 
 
 class TestPerturbedCpt:
@@ -70,6 +70,19 @@ class TestRandomTopology:
                    <= ecc(random_topology(16, 0.1, [1, s]))
                    for s in range(30))
         assert wins >= 25
+
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 0.9])
+    def test_matches_recursive_reference(self, beta):
+        for d in range(4, 201):
+            for seed in range(3):
+                got = random_topology(d, beta, [d, seed])
+                assert ({u: got.neighbors(u) for u in got.nodes()}
+                        == recursive_random_topology(d, beta, [d, seed])), (d, seed)
+
+    def test_deep_split_needs_no_recursion(self):
+        # round(beta * g) < 2 peels two leaves per split: about d/2 levels deep.
+        t = random_topology(2500, 1e-4, 0)
+        assert t.d == 2500 and len(t.hidden) == 2498
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -127,6 +140,15 @@ class TestDiagnostics:
     def test_unparameterized_rejected(self):
         with pytest.raises(ModelError):
             diagnostics(random_topology(6, 0.5, 0))
+
+    def test_fewer_than_four_leaves_rejected(self):
+        cpts = {(3, i): perturbed_cpt(2, 2, 0.5, i) for i in range(3)}
+        params = TreeParameters(n=2, k=2, root=3, root_marginal=np.array([0.5, 0.5]),
+                                cpts=cpts)
+        tree = LatentTree({0: [3], 1: [3], 2: [3], 3: [0, 1, 2]},
+                          {i: f"X{i}" for i in range(3)}, params=params)
+        with pytest.raises(ModelError, match="need at least 4 leaves, got 3"):
+            diagnostics(tree)
 
 
 class TestDependenceLimitedModels:

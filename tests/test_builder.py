@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensortree import (QuartetRelation, build_tree, choose_balanced_root,
                         quartet_tree, resolve_oracle, robinson_foulds)
@@ -43,15 +45,13 @@ def _reference_insert(tree, u, v, leaf):
     return LatentTree(adj, {**tree.leaf_names, leaf: f"X{leaf}"})
 
 
-def reference_build(resolver, variables, seed=0, shuffle=False):
+def reference_build(resolver, variables, seed=0):
     """The per-step search written plainly: the candidates as a set of edges,
     graph walks for every hidden node and direction at every step, and a
     ``LatentTree`` rebuilt on every insertion.  Returns the tree, the verdicts
     and the insertion depths."""
     order = [int(v) for v in variables]
     rng = np.random.default_rng(seed)
-    if shuffle:
-        rng.shuffle(order)
     verdicts, depths = [], [1]
 
     def ask(quartet):
@@ -177,16 +177,17 @@ class TestMatchesReference:
     def test_same_verdicts_depths_and_edges(self, d, shuffle, source):
         for seed in range(3):
             truth = random_topology(d, 0.5, seed)
+            order = truth.leaves
+            if shuffle:
+                order = np.random.default_rng([seed, 1]).permutation(order).tolist()
 
             def resolver():
                 if source == "oracle":
                     return oracle_resolver(truth)
                 return random_resolver(seed + 100)
 
-            built, trace = build_tree(resolver(), truth.leaves, seed=seed,
-                                      shuffle=shuffle)
-            ref, verdicts, depths = reference_build(resolver(), truth.leaves,
-                                                    seed=seed, shuffle=shuffle)
+            built, trace = build_tree(resolver(), order, seed=seed)
+            ref, verdicts, depths = reference_build(resolver(), order, seed=seed)
             assert trace.verdicts == verdicts
             assert trace.insertion_depths == depths
             assert built.edges() == ref.edges()
@@ -194,8 +195,18 @@ class TestMatchesReference:
     @pytest.mark.parametrize("d", [5, 8, 13, 32, 64])
     def test_adversarial_verdicts_give_binary_tree(self, d):
         for seed in range(5):
-            built, _ = build_tree(random_resolver(seed), range(d), seed=seed,
-                                  shuffle=True)
+            order = np.random.default_rng([seed, 1]).permutation(d).tolist()
+            built, _ = build_tree(random_resolver(seed), order, seed=seed)
             assert built.leaves == list(range(d))
             assert len(built.hidden) == d - 2
             assert all(len(built.neighbors(h)) == 3 for h in built.hidden)
+
+
+class TestInsertionOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(4, 40).flatmap(lambda d: st.permutations(range(d))),
+           beta=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+    def test_oracle_build_exact_under_any_leaf_order(self, order, beta, seed):
+        truth = random_topology(len(order), beta, seed)
+        built, _ = build_tree(oracle_resolver(truth), order, seed=seed)
+        assert robinson_foulds(built, truth) == 0

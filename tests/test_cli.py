@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from tensortree import from_newick, robinson_foulds, write_model
@@ -223,6 +222,18 @@ class TestDiagnose:
         assert main(["diagnose", "--model", str(model),
                      "--out", str(tmp_path / "d.csv")]) == 3
         assert "probability vector" in capsys.readouterr().err
+
+    def test_three_leaf_model_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        cpt = "cpt 3 {}\n0.9 0.2\n0.1 0.8\n"
+        model.write_text(
+            "states 2 2\nleaf 0 a\nleaf 1 b\nleaf 2 c\nhidden 3\n"
+            "edge 3 0\nedge 3 1\nedge 3 2\nroot 3\nmarginal 0.5 0.5\n"
+            + "".join(cpt.format(i) for i in range(3)))
+        out = tmp_path / "d.csv"
+        assert main(["diagnose", "--model", str(model), "--out", str(out)]) == 3
+        assert "need at least 4 leaves, got 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):
         assert main(["diagnose", "--model", str(tmp_path / "nope.txt"),

@@ -12,21 +12,21 @@ from tensortree import model
 from tensortree import (LatentTree, QuartetRelation, SampleSet, TreeParameters,
                         empirical_pairwise, empirical_quartet_tensor,
                         exact_quartet_distribution, pairwise_distribution,
-                        quartet_tree, reroot, sample)
-from tensortree.bench import parameterize, random_topology, random_tree_model
+                        quartet_tree, sample)
+from tensortree.bench import random_topology, random_tree_model
 from tensortree.exceptions import ModelError, ParseError
 from tensortree.resolvers import resolve_oracle
 
 from helpers import caterpillar, dfs_path, disjoint_path_oracle
 
 
-def brute_force_quartet(tree, leaves):
-    """Exhaustive joint over all node states, marginalized to four leaves."""
+def brute_force_joint(tree, leaves):
+    """Exhaustive joint over all node states, marginalized to the given leaves."""
     p = tree.params
     order = [p.root] + [child for _, child in tree.parent_order()]
     parents = {child: parent for parent, child in tree.parent_order()}
     sizes = [p.n if tree.is_leaf(v) else p.k for v in order]
-    out = np.zeros((p.n,) * 4)
+    out = np.zeros((p.n,) * len(leaves))
     for states in itertools.product(*(range(s) for s in sizes)):
         assign = dict(zip(order, states))
         prob = p.root_marginal[assign[p.root]]
@@ -36,23 +36,99 @@ def brute_force_quartet(tree, leaves):
     return out
 
 
+def from_root(tree, root):
+    """The same distribution parameterized away from another hidden root:
+    each edge turned against its CPT is reversed by Bayes' rule."""
+    p = tree.params
+    cpts = {}
+    for u, v in tree.bfs_edges(root):
+        if (u, v) in p.cpts:
+            cpts[(u, v)] = p.cpts[(u, v)]
+        else:  # P(v | u) = P(u | v) P(v) / P(u), as (v_state, u_state)
+            joint = p.cpts[(v, u)] * tree.node_marginal(v)  # P(u, v)
+            cpts[(u, v)] = joint.T / tree.node_marginal(u)
+    params = TreeParameters(n=p.n, k=p.k, root=root,
+                            root_marginal=tree.node_marginal(root), cpts=cpts)
+    return LatentTree({u: tree.neighbors(u) for u in tree.nodes()}, tree.leaf_names,
+                      params=params)
+
+
+def stochastic(rng, rows, cols):
+    table = rng.random((rows, cols))
+    return table / table.sum(axis=0)
+
+
 @pytest.fixture(scope="module")
 def small_tree():
     return random_tree_model(5, 0.5, 3, 2, 1.0, 42)
+
+
+# Small enough for brute force: n^leaves * k^hidden joint states at most 6,561.
+BRUTE_FORCE_TREES = [(5, 0.5, 3, 2, 1.0, 42), (6, 0.3, 2, 2, 0.8, 7),
+                     (5, 0.5, 3, 3, 0.5, 3), (6, 0.5, 2, 2, 0.3, [6, 1])]
+
+
+class TestExactJointMatchesBruteForce:
+    """The one upward pass against the exhaustive sum over all node states."""
+
+    def check(self, tree, leaves):
+        want = brute_force_joint(tree, leaves)
+        assert np.allclose(model._exact_joint(tree, leaves), want, rtol=0, atol=1e-12)
+        return want
+
+    @pytest.mark.parametrize("args", BRUTE_FORCE_TREES, ids=str)
+    def test_pairs_and_quartets_in_any_order(self, args):
+        tree = random_tree_model(*args)
+        for i, j in itertools.permutations(tree.leaves, 2):
+            want = self.check(tree, (i, j))
+            assert np.allclose(pairwise_distribution(tree, i, j), want, rtol=0, atol=1e-12)
+        rng = np.random.default_rng(tree.d)
+        for q in itertools.combinations(tree.leaves, 4):
+            leaves = tuple(rng.permutation(q).tolist())
+            want = self.check(tree, leaves)
+            assert np.allclose(exact_quartet_distribution(tree, leaves).values, want,
+                               rtol=0, atol=1e-12)
+
+    def test_all_leaves_and_single_leaf(self, small_tree):
+        self.check(small_tree, (4, 1, 3, 0, 2))
+        self.check(small_tree, (2,))
+
+    def test_root_not_lowest_hidden_id(self):
+        tree = random_topology(6, 0.5, 11)
+        root = max(tree.hidden)
+        rng = np.random.default_rng(5)
+        cpts = {(u, v): stochastic(rng, 3 if tree.is_leaf(v) else 2, 2)
+                for u, v in tree.bfs_edges(root)}
+        params = TreeParameters(n=3, k=2, root=root, root_marginal=np.array([0.4, 0.6]),
+                                cpts=cpts)
+        tree = LatentTree({u: tree.neighbors(u) for u in tree.nodes()}, tree.leaf_names,
+                          params=params)
+        for leaves in [(0, 1), (5, 2), (0, 1, 2, 3), (3, 5, 1, 4)]:
+            self.check(tree, leaves)
+
+    def test_zero_in_root_marginal(self):
+        tree = random_tree_model(5, 0.5, 3, 3, 0.7, 8)
+        p = tree.params
+        params = TreeParameters(n=p.n, k=p.k, root=p.root,
+                                root_marginal=np.array([0.0, 0.25, 0.75]), cpts=p.cpts)
+        tree = LatentTree({u: tree.neighbors(u) for u in tree.nodes()}, tree.leaf_names,
+                          params=params)
+        for leaves in [(0, 4), (4, 0), (0, 1, 2, 3), (2, 4, 0, 1)]:
+            self.check(tree, leaves)
 
 
 class TestExactQuartet:
     def test_matches_brute_force(self, small_tree):
         leaves = (0, 1, 2, 3)
         exact = exact_quartet_distribution(small_tree, leaves)
-        assert np.allclose(exact.values, brute_force_quartet(small_tree, leaves),
+        assert np.allclose(exact.values, brute_force_joint(small_tree, leaves),
                            atol=1e-12)
 
     def test_matches_brute_force_shuffled_leaf_order(self, small_tree):
         for leaves in [(3, 0, 4, 1), (2, 4, 1, 0), (4, 2, 3, 1)]:
             exact = exact_quartet_distribution(small_tree, leaves)
             assert np.allclose(exact.values,
-                               brute_force_quartet(small_tree, leaves),
+                               brute_force_joint(small_tree, leaves),
                                atol=1e-12)
 
     def test_marginalization_consistency(self, small_tree):
@@ -68,17 +144,23 @@ class TestExactQuartet:
         with pytest.raises(ModelError):
             exact_quartet_distribution(small_tree, (0, 0, 1, 2))
 
+    def test_hidden_node_rejected(self, small_tree):
+        with pytest.raises(ModelError, match="leaves"):
+            exact_quartet_distribution(small_tree, (0, 1, 2, small_tree.hidden[0]))
+
     def test_unparameterized_rejected(self):
         bare = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
         with pytest.raises(ModelError):
             exact_quartet_distribution(bare, (0, 1, 2, 3))
 
     def test_root_invariance(self, small_tree):
-        other = reroot(small_tree, max(small_tree.hidden))
+        other = from_root(small_tree, max(small_tree.hidden))
+        assert other.params.root != small_tree.params.root
         for leaves in [(0, 1, 2, 3), (1, 2, 3, 4)]:
             a = exact_quartet_distribution(small_tree, leaves)
             b = exact_quartet_distribution(other, leaves)
-            assert np.allclose(a.values, b.values, atol=1e-10)
+            assert np.allclose(a.values, b.values, atol=1e-12)
+            assert np.allclose(b.values, brute_force_joint(other, leaves), atol=1e-12)
 
 
 class TestPairwise:
@@ -379,12 +461,6 @@ class TestTreeStructure:
             assert len(t.hidden) == d - 2
             assert all(len(t.neighbors(h)) == 3 for h in t.hidden)
 
-    def test_median(self):
-        t = random_topology(8, 0.5, 1)
-        m = t.median(0, 1, 2)
-        assert m in t.hidden
-        assert m in t.path(0, 1) and m in t.path(0, 2) and m in t.path(1, 2)
-
 
 ORIENTATION_TREES = [("random", d, beta, seed) for d in (4, 5, 9, 33, 200)
                      for beta in (0.1, 0.5) for seed in range(3)]
@@ -404,13 +480,6 @@ class TestOrientationMatchesReferences:
         rng = np.random.default_rng(t.d)
         for u, v in rng.choice(t.nodes(), size=(100, 2)).tolist():  # may repeat
             assert t.path(u, v) == dfs_path(t, u, v)
-
-    def test_median(self, case):
-        t = orientation_tree(*case)
-        rng = np.random.default_rng(t.d)
-        for a, b, c in rng.choice(t.nodes(), size=(100, 3)).tolist():
-            shared = set(dfs_path(t, a, b)) & set(dfs_path(t, a, c)) & set(dfs_path(t, b, c))
-            assert {t.median(a, b, c)} == shared
 
     def test_oracle(self, case):
         t = orientation_tree(*case)
