@@ -325,10 +325,27 @@ def _diagnostics_quartet(model: QuartetModel) -> RecoveryDiagnostics:
     return _assemble(theta, min(p_h.min(), p_g.min()), alpha, [delta], k, 4)
 
 
+def _quartets(leaves, max_quartets, seed):
+    """4-subsets of ``leaves`` in lexicographic order: all of them, or
+    ``max_quartets`` drawn by rank, so the C(d, 4) subsets are never listed."""
+    total = math.comb(len(leaves), 4)
+    if max_quartets is None or total <= max_quartets:
+        yield from itertools.combinations(leaves, 4)
+        return
+    for rank in sorted(_as_rng(seed).choice(total, size=max_quartets, replace=False).tolist()):
+        quartet, i = [], 0
+        while len(quartet) < 4:  # C(d - i - 1, 3 - len) subsets take leaves[i] next
+            block = math.comb(len(leaves) - i - 1, 3 - len(quartet))
+            if rank < block:
+                quartet.append(leaves[i])
+            else:
+                rank -= block
+            i += 1
+        yield tuple(quartet)
+
+
 def _diagnostics_tree(tree: LatentTree, max_quartets, seed) -> RecoveryDiagnostics:
-    params = tree.params
-    if params is None:
-        raise ModelError("tree is not parameterized")
+    params = tree._require_params()
     if tree.d < 4:
         raise ModelError(f"need at least 4 leaves, got {tree.d}")
     deltas = []
@@ -338,14 +355,9 @@ def _diagnostics_tree(tree: LatentTree, max_quartets, seed) -> RecoveryDiagnosti
             joint = (params.cpts[(u, v)] * p_u).T  # P(u, v)
             deltas.append(joint - np.outer(p_u, tree.node_marginal(v)))
     gamma_min = min(float(tree.node_marginal(h).min()) for h in tree.hidden)
-    quartets = list(itertools.combinations(tree.leaves, 4))
-    if max_quartets is not None and len(quartets) > max_quartets:
-        rng = _as_rng(seed)
-        idx = rng.choice(len(quartets), size=max_quartets, replace=False)
-        quartets = [quartets[i] for i in sorted(idx)]
     theta_min = math.inf
     alpha_min = math.inf
-    for q in quartets:
+    for q in _quartets(tree.leaves, max_quartets, seed):
         (g1, g2) = resolve_oracle(tree, q).groups
         ordered = (q[g1[0] - 1], q[g1[1] - 1], q[g2[0] - 1], q[g2[1] - 1])
         theta, alpha = _quartet_gaps(exact_quartet_distribution(tree, ordered))
@@ -375,13 +387,32 @@ def parse_method(name: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown method {name!r}")
 
 
-def _validate_methods(methods, n):
-    if not methods:
+MAX_TABLE_BINS = 2 ** 20  # 8 MiB of float64: tensor allows n <= 32, the others n <= 1024
+
+
+def table_bins(family: str, n: int) -> int:
+    """Bins of a method's largest table at n states: n^4 for tensor, n^2 else."""
+    return n ** (4 if family == "tensor" else 2)
+
+
+def _validate_shared(cfg, bins) -> None:
+    """Checks of the fields both configs share; ``bins(family)`` sizes a trial's largest table."""
+    if not cfg.methods:
         raise ValueError("need at least one method")
-    for name in methods:
+    for name in cfg.methods:
         family, k = parse_method(name)
-        if family == "spectral" and k > n:
-            raise ValueError(f"method {name!r} needs k <= n = {n}")
+        if family == "spectral" and k > cfg.n:
+            raise ValueError(f"method {name!r} needs k <= n = {cfg.n}")
+        if bins(family) > MAX_TABLE_BINS:
+            raise ValueError(f"method {name!r} at n = {cfg.n} needs tables of "
+                             f"{bins(family)} bins, over the limit of {MAX_TABLE_BINS}")
+    # n * (1 + mu) bounds every perturbed column sum, so no sum can overflow.
+    if cfg.mu < 0 or not math.isfinite(cfg.n * (1 + cfg.mu)):
+        raise ValueError(f"mu must be >= 0 with n * (1 + mu) finite, got {cfg.mu}")
+    if not cfg.sample_grid or any(m < 1 for m in cfg.sample_grid):
+        raise ValueError("sample grid must be nonempty positive counts")
+    if cfg.trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = None,
@@ -439,13 +470,7 @@ class QuartetExperimentConfig:
     def __post_init__(self):
         if not (2 <= self.k_h <= self.n and 2 <= self.k_g <= self.n):
             raise ValueError("hidden cardinalities must lie in 2..n")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if not self.sample_grid or any(m < 1 for m in self.sample_grid):
-            raise ValueError("sample grid must be nonempty positive counts")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        _validate_methods(self.methods, self.n)
+        _validate_shared(self, lambda family: self.n ** 4)  # all drawn from the n^4 tensor
 
 
 @dataclass(frozen=True)
@@ -471,13 +496,7 @@ class TreeExperimentConfig:
         lo, hi = self.k_range
         if not (2 <= lo <= hi <= self.n):
             raise ValueError("k range must satisfy 2 <= lo <= hi <= n")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if not self.sample_grid or any(m < 1 for m in self.sample_grid):
-            raise ValueError("sample grid must be nonempty positive counts")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        _validate_methods(self.methods, self.n)
+        _validate_shared(self, lambda family: table_bins(family, self.n))
 
 
 RESULT_COLUMNS = ("method", "m", "trial", "outcome", "elapsed_ms")
@@ -507,10 +526,8 @@ class ResultTable:
 
 def _nj_quartet_relation(pairs, marginals) -> QuartetRelation:
     """Quartet pairing minimizing the summed within-pair additive distances."""
-    def dist(i, j):
-        key = (i, j) if i < j else (j, i)
-        table = pairs[key] if i < j else pairs[key].T
-        val = additive_distance(table, marginals[i], marginals[j])
+    def dist(i, j):  # i < j: every pair below is a key of ``pairs``
+        val = additive_distance(pairs[(i, j)], marginals[i], marginals[j])
         return INFINITE_SENTINEL if math.isinf(val) else val
 
     scores = [dist(1, 2) + dist(3, 4), dist(1, 3) + dist(2, 4),

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error (an input that cannot be
 read or parsed, or an --out path that cannot be written), 4 numerical failure.
-``build`` refuses, with exit 3, a sample file whose state count n would make
-a table of more than MAX_TABLE_BINS bins: n^4 for ``tensor``, n^2 for
-``spectral@K`` and ``nj``.
+No command counts a table of more than bench.MAX_TABLE_BINS bins (n^4 for
+``tensor`` and for every ``quartet-bench`` method, n^2 for the others): ``build``
+exits 3 on such a sample file, the bench commands exit 2 on such a config.
 The default seed can be overridden with the TENSORTREE_SEED environment
 variable (an integer; anything else is a usage error); an explicit --seed flag
 always wins.
@@ -19,9 +19,9 @@ import sys
 import time
 
 from . import __version__
-from .bench import (QuartetExperimentConfig, TreeExperimentConfig,
+from .bench import (MAX_TABLE_BINS, QuartetExperimentConfig, TreeExperimentConfig,
                     diagnostics, parse_method, recover, run_quartet_experiment,
-                    run_tree_experiment)
+                    run_tree_experiment, table_bins)
 from .exceptions import ModelError, NumericalError, ParseError
 from .metrics import to_newick
 from .model import SampleSet
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-MAX_TABLE_BINS = 2 ** 20  # 8 MiB of float64: tensor allows n <= 32, the others n <= 1024
 
 
 def _positive_int(text: str) -> int:
@@ -152,36 +150,31 @@ def make_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def cmd_quartet_bench(args) -> int:
+def _run_bench(args, config, run, **fields) -> int:
+    """Config from the shared options and ``fields``: exit 2 if invalid, else run, write."""
     try:
-        cfg = QuartetExperimentConfig(
-            k_h=args.kh, k_g=args.kg, n=args.n, mu=args.mu,
-            sample_grid=tuple(args.samples), trials=args.trials,
-            methods=tuple(args.methods), seed=args.seed)
+        cfg = config(n=args.n, mu=args.mu, sample_grid=tuple(args.samples),
+                     trials=args.trials, methods=tuple(args.methods), seed=args.seed,
+                     **fields)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
-    table = run_quartet_experiment(cfg, jobs=args.jobs)
-    return _write_outputs(args, table.write_csv, t0)
+    return _write_outputs(args, run(cfg, jobs=args.jobs).write_csv, t0)
+
+
+def cmd_quartet_bench(args) -> int:
+    return _run_bench(args, QuartetExperimentConfig, run_quartet_experiment,
+                      k_h=args.kh, k_g=args.kg)
 
 
 def cmd_tree_bench(args) -> int:
     if len(args.k_range) != 2:
         print("error: --k-range needs exactly two integers lo,hi", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        cfg = TreeExperimentConfig(
-            d=args.d, beta=args.beta, k_range=tuple(args.k_range), n=args.n,
-            mu=args.mu, sample_grid=tuple(args.samples), trials=args.trials,
-            methods=tuple(args.methods), seed=args.seed,
-            hidden_base=args.hidden_base)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    t0 = time.perf_counter()
-    table = run_tree_experiment(cfg, jobs=args.jobs)
-    return _write_outputs(args, table.write_csv, t0)
+    return _run_bench(args, TreeExperimentConfig, run_tree_experiment, d=args.d,
+                      beta=args.beta, k_range=tuple(args.k_range),
+                      hidden_base=args.hidden_base)
 
 
 def cmd_build(args) -> int:
@@ -209,7 +202,7 @@ def cmd_build(args) -> int:
         print(f"error: spectral rank {spectral_k} exceeds state count "
               f"{samples.n_states}", file=sys.stderr)
         return EXIT_USAGE
-    bins = samples.n_states ** (4 if family == "tensor" else 2)
+    bins = table_bins(family, samples.n_states)
     if bins > MAX_TABLE_BINS:
         print(f"error: {samples.n_states} states make tables of {bins} bins for "
               f"method {args.method}, over the limit of {MAX_TABLE_BINS}", file=sys.stderr)

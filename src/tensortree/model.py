@@ -10,7 +10,7 @@ all user-facing data (samples, CSV); arrays are 0-based internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
@@ -246,39 +246,37 @@ _CSV_CHUNK_LINES = 16_384  # data lines per np.loadtxt call in SampleSet.from_cs
 NEWICK_RESERVED = frozenset("(),;: \t\n")  # characters no leaf or variable name may hold
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleSet:
-    """m rows of d discrete observations with 1-based states."""
+    """m samples of d discrete observations, kept only as 0-based ``columns``."""
 
-    rows: np.ndarray
+    rows: InitVar[np.ndarray]
     variable_names: list[str]
     n_states: int
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+    def __post_init__(self, rows):
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("rows must be a nonempty m x d integer array")
         if rows.shape[1] != len(self.variable_names):
             raise ValueError("column count does not match variable names")
         if rows.min() < 1 or rows.max() > self.n_states:
             raise ValueError(f"states must lie in 1..{self.n_states}")
-        self.rows = rows
-        # Tables are counted from ``columns``, 0-based; cast, then shift: no int64 copy.
-        self.columns = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(self.n_states))
-        self.columns -= 1
+        self.columns = rows.T.astype(np.min_scalar_type(self.n_states), order="C")
+        self.columns -= 1  # astype copied: the caller's rows are never shifted
 
     @property
     def m(self) -> int:
-        return self.rows.shape[0]
+        return self.columns.shape[1]
 
     @property
     def d(self) -> int:
-        return self.rows.shape[1]
+        return self.columns.shape[0]
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(self.variable_names) + "\n")
-            np.savetxt(fh, self.rows, fmt="%d", delimiter=",")
+            np.savetxt(fh, self.columns.T + 1, fmt="%d", delimiter=",")
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
@@ -306,6 +304,8 @@ class SampleSet:
                 if block is None or block.shape[1] != len(names):  # the loop reads the rest
                     start = 2 + len(blocks) * _CSV_CHUNK_LINES  # earlier chunks were full
                     block = _parse_csv_lines(chain(lines, fh), start, len(names))
+                if block.min(initial=1) >= 1:  # narrowed now, no int64 copy of the file is kept
+                    block = block.astype(np.min_scalar_type(block.max(initial=1)))
                 blocks.append(block)
         if not any(len(b) for b in blocks):
             raise ParseError("sample file has no data rows", line=2)

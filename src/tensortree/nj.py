@@ -24,25 +24,14 @@ _CHUNK = 1024
 def additive_distance(p_ij: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> float:
     """Determinant-based distance of two variables; +inf if the joint table is
     singular."""
-    p_ij = np.asarray(p_ij, dtype=float)
-    p_i = np.asarray(p_i, dtype=float)
-    p_j = np.asarray(p_j, dtype=float)
-    if p_ij.ndim != 2 or p_ij.shape[0] != p_i.shape[0] or p_ij.shape[1] != p_j.shape[0]:
-        raise ValueError("table and marginal shapes are inconsistent")
-    if (np.max(np.abs(p_ij.sum(axis=1) - p_i)) > 1e-9
-            or np.max(np.abs(p_ij.sum(axis=0) - p_j)) > 1e-9):
-        raise ValueError("pairwise table margins do not match the marginals")
-    sign, logdet = np.linalg.slogdet(p_ij)
-    if sign == 0 or not np.isfinite(logdet):
-        return math.inf
-    return float(0.5 * np.sum(np.log(p_i)) + 0.5 * np.sum(np.log(p_j)) - logdet)
+    return float(distance_matrix({(0, 1): p_ij}, [p_i, p_j])[0, 1])
 
 
 def distance_matrix(pair_tables, marginals) -> np.ndarray:
     """Symmetric distance matrix from per-pair tables and per-variable marginals.
 
     ``pair_tables[(i, j)]`` with i < j holds P(X_i, X_j); singular tables give
-    +inf entries.  Each entry equals :func:`additive_distance` of its pair.
+    +inf entries.
     """
     margs = np.array(marginals, dtype=float)
     out = np.zeros((len(margs), len(margs)))

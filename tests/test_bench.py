@@ -1,6 +1,8 @@
 """Unit tests for synthetic model generation, diagnostics, and the harness."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,7 +93,40 @@ class TestRandomTopology:
             random_topology(8, 1.5, 0)
 
 
+def reference_quartets(leaves, max_quartets, seed):
+    """The quartets diagnostics scored when it listed all C(d, 4) of them."""
+    quartets = list(itertools.combinations(leaves, 4))
+    if max_quartets is not None and len(quartets) > max_quartets:
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(quartets), size=max_quartets, replace=False)
+        quartets = [quartets[i] for i in sorted(idx)]
+    return quartets
+
+
+QUARTET_DRAWS = [(d, mq) for d in (4, 5, 9, 17)
+                 for mq in (None, 1, 5, 60, math.comb(d, 4) - 1, math.comb(d, 4)) if mq != 0]
+QUARTET_DRAWS += [(40, mq) for mq in (1, 7, 300, 2000)]
+
+
 class TestDiagnostics:
+    @pytest.mark.parametrize("d, max_quartets", QUARTET_DRAWS, ids=str)
+    def test_quartets_match_listing_reference(self, d, max_quartets):
+        leaves = list(range(3, 3 + 2 * d, 2))  # ids neither from 0 nor dense
+        for seed in (0, 1, 7):
+            assert list(bench._quartets(leaves, max_quartets, seed)) == \
+                reference_quartets(leaves, max_quartets, seed)
+
+    def test_subsample_lists_no_quartets(self):
+        # Listing all 635,376 quartets of 64 leaves traced about 49 MiB.
+        tree = random_tree_model(64, 0.5, 3, 2, 0.5, 1)
+        tracemalloc.start()
+        try:
+            diagnostics(tree, max_quartets=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_independent_edge(self):
         model = random_quartet_model(2, 3, 5, 0.6, 0)
         indep = with_dependence_scaled(model, 0.0)

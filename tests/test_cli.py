@@ -250,6 +250,8 @@ def exit_code(argv):
 
 QUARTET_ARGS = ["quartet-bench", "--kh", "2", "--kg", "2", "--n", "4", "--mu", "0.5",
                 "--samples", "50", "--trials", "2", "--methods", "tensor"]
+TREE_ARGS = ["tree-bench", "--d", "6", "--beta", "0.5", "--n", "3", "--k-range", "2,2",
+             "--mu", "0.5", "--samples", "50", "--trials", "1", "--methods", "nj"]
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +294,24 @@ class TestOutOfRangeValues:
         argv = QUARTET_ARGS[:-1] + [","]  # --methods ,
         self.assert_usage_error(argv, tmp_path / "q.csv", capsys,
                                 "need at least one method")
+
+    @pytest.mark.parametrize("command, mu", [("quartet-bench", "nan"), ("tree-bench", "inf"),
+                                             ("tree-bench", "1e308"), ("quartet-bench", "-1")])
+    def test_mu_without_finite_column_sums(self, tmp_path, capsys, command, mu):
+        # At mu = 1e308 a column sum of three entries overflows to inf.
+        argv = (QUARTET_ARGS if command == "quartet-bench" else TREE_ARGS) + [f"--mu={mu}"]
+        self.assert_usage_error(argv, tmp_path / "b.csv", capsys,
+                                f"mu must be >= 0 with n * (1 + mu) finite, got {float(mu)}")
+
+    @pytest.mark.parametrize("command, method", [("quartet-bench", "tensor"),
+                                                 ("quartet-bench", "nj"),
+                                                 ("tree-bench", "tensor")])
+    def test_tables_over_the_limit(self, tmp_path, capsys, command, method):
+        # 33^4 bins; quartet-bench draws every method's tables from the n^4 tensor.
+        argv = (QUARTET_ARGS if command == "quartet-bench" else TREE_ARGS)
+        argv = argv + ["--n", "33", "--methods", method]
+        self.assert_usage_error(argv, tmp_path / "b.csv", capsys,
+                                f"method {method!r} at n = 33 needs tables of 1185921 bins")
 
 
 class TestUnwritableOut:

@@ -1,6 +1,7 @@
 """Unit tests for latent tree models, exact marginals, and sampling."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -206,7 +207,7 @@ class TestSampling:
     def test_determinism(self, small_tree):
         a = sample(small_tree, 100, 11)
         b = sample(small_tree, 100, 11)
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.columns, b.columns)
 
     def test_deterministic_cpts_follow_root(self):
         # Permutation CPTs make each leaf a deterministic image of the root.
@@ -219,10 +220,10 @@ class TestSampling:
         tree = LatentTree({u: tree.neighbors(u) for u in tree.nodes()},
                           tree.leaf_names, params=params)
         s = sample(tree, 10000, 3)
-        assert np.array_equal(s.rows[:, 1], 3 - s.rows[:, 0])  # swapped copy
-        assert np.array_equal(s.rows[:, 0], s.rows[:, 2])
+        assert np.array_equal(s.columns[1], 1 - s.columns[0])  # swapped copy
+        assert np.array_equal(s.columns[0], s.columns[2])
         # Empirical root marginal within 3 sigma of the multinomial truth.
-        freq = np.mean(s.rows[:, 0] == 2)
+        freq = np.mean(s.columns[0] == 1)
         sigma = np.sqrt(0.75 * 0.25 / 10000)
         assert abs(freq - 0.75) <= 3 * sigma
 
@@ -288,6 +289,57 @@ class TestCountsMatchReference:
         assert s.columns[:, 0].tolist() == [0, 299, 0, 1]
 
 
+class TestColumnStore:
+    """``columns`` is the only copy of the samples a SampleSet keeps."""
+
+    def test_only_store_and_caller_rows_unchanged(self):
+        rows = np.asfortranarray(np.array([[1, 2, 3, 1], [2, 1, 1, 3]], dtype=np.uint8))
+        s = SampleSet(rows=rows, variable_names=list("abcd"), n_states=3)
+        assert rows.tolist() == [[1, 2, 3, 1], [2, 1, 1, 3]]
+        assert not np.shares_memory(s.columns, rows) and s.columns.flags.c_contiguous
+        assert [k for k, v in vars(s).items() if isinstance(v, np.ndarray)] == ["columns"]
+        assert not hasattr(s, "rows")
+        assert s != SampleSet(rows=rows[::-1], variable_names=list("abcd"), n_states=3)
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_dtype_and_csv_round_trip(self, tmp_path, n, dtype):
+        s = SampleSet(rows=np.array([[1, n, 2, 1], [n, 1, 1, n]]),
+                      variable_names=list("abcd"), n_states=n)
+        assert s.columns.dtype == dtype
+        s.to_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text() == f"a,b,c,d\n1,{n},2,1\n{n},1,1,{n}\n"
+        back = SampleSet.from_csv(tmp_path / "s.csv")
+        assert back.columns.dtype == dtype and back.n_states == n
+        assert np.array_equal(back.columns, s.columns)
+
+    def test_chunks_of_different_dtypes(self, tmp_path):
+        # Chunks of two lines narrow to uint8, uint16 and uint32; the line
+        # loop reads the last chunk ("+3").
+        lines = ["1,2", "3,1", "2,300", "1,1", "70000,1", "+3,1"]
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\n" + "\n".join(lines) + "\n")
+        with mock.patch.object(model, "_CSV_CHUNK_LINES", 2):
+            s = SampleSet.from_csv(path)
+        assert s.columns.dtype == np.uint32 and s.n_states == 70000
+        assert (s.columns.T + 1).tolist() == [[1, 2], [3, 1], [2, 300], [1, 1],
+                                              [70000, 1], [3, 1]]
+
+    def test_reading_holds_no_int64_copy(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "s.csv"
+        SampleSet(rows=rng.integers(1, 11, size=(50_000, 32)),
+                  variable_names=[f"X{i}" for i in range(32)], n_states=10).to_csv(path)
+        tracemalloc.start()
+        try:
+            s = SampleSet.from_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.columns.nbytes == 1_600_000
+        assert held <= s.columns.nbytes + 2 ** 20
+        assert peak < 16 * 2 ** 20
+
+
 class TestPairwiseValidation:
     def samples(self):
         return SampleSet(rows=np.array([[1, 2, 3, 1], [2, 1, 1, 3]]),
@@ -309,7 +361,7 @@ class TestSampleCsv:
         path = tmp_path / "s.csv"
         s.to_csv(path)
         back = SampleSet.from_csv(path)
-        assert np.array_equal(back.rows, s.rows)
+        assert np.array_equal(back.columns, s.columns)
         assert back.variable_names == s.variable_names
 
     def test_bad_row_reports_line(self, tmp_path):
@@ -363,8 +415,8 @@ def read_outcome(reader, path):
         s = reader(path)
     except ParseError as exc:
         return ("error", str(exc), exc.line)
-    assert s.rows.dtype == np.int64
-    return ("ok", s.rows.tolist(), s.n_states, s.variable_names)
+    assert s.columns.dtype == np.min_scalar_type(s.n_states)
+    return ("ok", (s.columns.T + 1).tolist(), s.n_states, s.variable_names)
 
 
 # Cells int() accepts and numpy's reader rejects, cells both reject, and edge values.
@@ -429,7 +481,7 @@ class TestCsvReader:
         s.to_csv(path)
         with mock.patch.object(model, "_CSV_CHUNK_LINES", 7):
             back = SampleSet.from_csv(path)
-        assert np.array_equal(back.rows, s.rows) and back.n_states == s.n_states
+        assert np.array_equal(back.columns, s.columns) and back.n_states == s.n_states
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["a,b\n1,2\n2,1\n\n\n1,1\n",  # a chunk of blank lines
