@@ -512,11 +512,10 @@ class ResultTable:
         self.rows.append((str(method), int(m), int(trial), float(outcome),
                           float(elapsed_ms)))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(RESULT_COLUMNS) + "\n")
-            for method, m, trial, outcome, ms in self.rows:
-                fh.write(f"{method},{m},{trial},{outcome:.10g},{ms:.3f}\n")
+    def csv_text(self) -> str:
+        return ",".join(RESULT_COLUMNS) + "\n" + "".join(
+            f"{method},{m},{trial},{outcome:.10g},{ms:.3f}\n"
+            for method, m, trial, outcome, ms in self.rows)
 
 
 # ---------------------------------------------------------------------------

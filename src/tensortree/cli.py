@@ -1,13 +1,14 @@
 """Command-line interface: benchmarks, tree building, and model diagnostics.
 
-Exit codes: 0 success, 2 usage error, 3 data error (an input that cannot be
-read or parsed, or an --out path that cannot be written), 4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 data error (a ParseError or ModelError,
+a file that cannot be read or decoded, or an --out path that cannot be written;
+its directory is checked before any work), 4 NumericalError. Every error ends in
+``main``, which prints ``error: <message>`` on stderr.
 No command counts a table of more than bench.MAX_TABLE_BINS bins (n^4 for
 ``tensor`` and for every ``quartet-bench`` method, n^2 for the others): ``build``
 exits 3 on such a sample file, the bench commands exit 2 on such a config.
-The default seed can be overridden with the TENSORTREE_SEED environment
-variable (an integer; anything else is a usage error); an explicit --seed flag
-always wins.
+Seeds are non-negative integers; TENSORTREE_SEED overrides the default of 0
+(anything else is a usage error), and an explicit --seed flag always wins.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import __version__
 from .bench import (MAX_TABLE_BINS, QuartetExperimentConfig, TreeExperimentConfig,
                     diagnostics, parse_method, recover, run_quartet_experiment,
                     run_tree_experiment, table_bins)
-from .exceptions import ModelError, NumericalError, ParseError
+from .exceptions import NumericalError, TensorTreeError
 from .metrics import to_newick
 from .model import SampleSet
 from .modelfile import read_model
@@ -39,14 +40,28 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+class Refusal(Exception):
+    """A command declines its input; ``main`` prints the message and exits ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "non-negative")
 
 
 def _int_list(text: str) -> list[int]:
@@ -57,17 +72,19 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _text_writer(text: str):
-    def write(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return write
-
-
-def _write_outputs(args, write, t0: float) -> int:
-    """Write the output file with ``write(path)``, then its manifest sidecar."""
+def _read(load, path):
+    """``load(path)``; a file that cannot be opened or decoded is a data error."""
     try:
-        write(args.out)
+        return load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise Refusal(EXIT_DATA, f"cannot read {path}: {exc}") from None
+
+
+def _write_outputs(args, text: str, t0: float) -> int:
+    """Write ``text`` to --out, then its manifest sidecar."""
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         manifest = {
             "subcommand": args.command,
             "config": vars(args),
@@ -79,14 +96,13 @@ def _write_outputs(args, write, t0: float) -> int:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise Refusal(EXIT_DATA, f"cannot write {args.out}: {exc}") from None
     return EXIT_OK
 
 
 def _add_common(sub, with_jobs=True):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="random seed (default: $TENSORTREE_SEED or 0)")
+    sub.add_argument("--seed", type=_seed, default=None,
+                     help="random seed, >= 0 (default: $TENSORTREE_SEED or 0)")
     sub.add_argument("--out", required=True, help="output file path")
     if with_jobs:
         sub.add_argument("--jobs", type=_positive_int, default=1,
@@ -157,10 +173,9 @@ def _run_bench(args, config, run, **fields) -> int:
                      trials=args.trials, methods=tuple(args.methods), seed=args.seed,
                      **fields)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Refusal(EXIT_USAGE, str(exc)) from None
     t0 = time.perf_counter()
-    return _write_outputs(args, run(cfg, jobs=args.jobs).write_csv, t0)
+    return _write_outputs(args, run(cfg, jobs=args.jobs).csv_text(), t0)
 
 
 def cmd_quartet_bench(args) -> int:
@@ -170,8 +185,7 @@ def cmd_quartet_bench(args) -> int:
 
 def cmd_tree_bench(args) -> int:
     if len(args.k_range) != 2:
-        print("error: --k-range needs exactly two integers lo,hi", file=sys.stderr)
-        return EXIT_USAGE
+        raise Refusal(EXIT_USAGE, "--k-range needs exactly two integers lo,hi")
     return _run_bench(args, TreeExperimentConfig, run_tree_experiment, d=args.d,
                       beta=args.beta, k_range=tuple(args.k_range),
                       hidden_base=args.hidden_base)
@@ -181,62 +195,31 @@ def cmd_build(args) -> int:
     try:
         family, spectral_k = parse_method(args.method)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Refusal(EXIT_USAGE, str(exc)) from None
     if family == "oracle":
-        print("error: method 'oracle' needs a known model and is only available "
-              "in the benchmark commands", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        samples = SampleSet.from_csv(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise Refusal(EXIT_USAGE, "method 'oracle' needs a known model and is only "
+                      "available in the benchmark commands")
+    samples = _read(SampleSet.from_csv, args.input)
     if samples.d < 4:
-        print(f"error: need at least 4 variables, got {samples.d}", file=sys.stderr)
-        return EXIT_DATA
+        raise Refusal(EXIT_DATA, f"need at least 4 variables, got {samples.d}")
     if family == "spectral" and spectral_k > samples.n_states:
-        print(f"error: spectral rank {spectral_k} exceeds state count "
-              f"{samples.n_states}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Refusal(EXIT_USAGE, f"spectral rank {spectral_k} exceeds state count "
+                      f"{samples.n_states}")
     bins = table_bins(family, samples.n_states)
     if bins > MAX_TABLE_BINS:
-        print(f"error: {samples.n_states} states make tables of {bins} bins for "
-              f"method {args.method}, over the limit of {MAX_TABLE_BINS}", file=sys.stderr)
-        return EXIT_DATA
+        raise Refusal(EXIT_DATA, f"{samples.n_states} states make tables of {bins} bins "
+                      f"for method {args.method}, over the limit of {MAX_TABLE_BINS}")
     t0 = time.perf_counter()
-    try:
-        tree = recover(samples, args.method, args.seed)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return _write_outputs(args, _text_writer(to_newick(tree) + "\n"), t0)
+    tree = recover(samples, args.method, args.seed)
+    return _write_outputs(args, to_newick(tree) + "\n", t0)
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        model = read_model(args.model)
-    except OSError as exc:
-        print(f"error: cannot read {args.model}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    model = _read(read_model, args.model)
     if model.params is None:
-        print("error: model file has no parameters to diagnose", file=sys.stderr)
-        return EXIT_DATA
+        raise Refusal(EXIT_DATA, "model file has no parameters to diagnose")
     t0 = time.perf_counter()
-    try:
-        diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
-    except ModelError as exc:  # e.g. fewer than 4 leaves
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
     report = [
         f"theta_min            {diag.theta_min:.12g}",
         f"gamma_min            {diag.gamma_min:.12g}",
@@ -262,7 +245,7 @@ def cmd_diagnose(args) -> int:
     text = "quantity,value\n" + "".join(
         f"{key},{val:.12g}\n" if isinstance(val, float) else f"{key},{val}\n"
         for key, val in rows)
-    return _write_outputs(args, _text_writer(text), t0)
+    return _write_outputs(args, text, t0)
 
 
 _COMMANDS = {
@@ -274,17 +257,23 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.seed is None:
-        raw = os.environ.get("TENSORTREE_SEED", "").strip()
-        try:
-            args.seed = int(raw) if raw else 0
-        except ValueError:
-            print(f"error: TENSORTREE_SEED must be an integer, got {raw!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    args = make_parser().parse_args(argv)
+    try:
+        if args.seed is None:
+            raw = os.environ.get("TENSORTREE_SEED", "").strip()
+            try:
+                args.seed = _seed(raw) if raw else 0
+            except argparse.ArgumentTypeError as exc:
+                raise Refusal(EXIT_USAGE, f"TENSORTREE_SEED: {exc}") from None
+        folder = os.path.dirname(os.path.abspath(args.out))  # before the work; opens nothing
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise Refusal(EXIT_DATA, f"cannot write {args.out}: no writable directory {folder}")
+        return _COMMANDS[args.command](args)
+    except (Refusal, TensorTreeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, Refusal):
+            return exc.code
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DATA
 
 
 if __name__ == "__main__":

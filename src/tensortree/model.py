@@ -11,7 +11,7 @@ all user-facing data (samples, CSV); arrays are 0-based internally.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -335,23 +335,29 @@ def _parse_csv_lines(lines: Iterable[str], lineno: int, width: int) -> np.ndarra
 
 
 def sample(tree: LatentTree, m: int, seed) -> SampleSet:
-    """m i.i.d. ancestral samples of the observed leaves; deterministic per seed."""
+    """m i.i.d. ancestral samples of the observed leaves; deterministic per seed.
+    Leaf draws go straight into the column store; a hidden node's states are kept
+    only until its children, which ``parent_order`` lists together, are drawn."""
     p = tree._require_params()
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    states = {}
-    root_pm = np.asarray(p.root_marginal, dtype=float)
-    states[p.root] = rng.choice(p.k, size=m, p=root_pm / root_pm.sum())
-    for parent, child in tree.parent_order():
-        cum = np.cumsum(p.cpts[(parent, child)], axis=0)  # (child_states, parent_states)
-        cum[-1, :] = 1.0
-        u = rng.random(m)
-        states[child] = (u[:, None] < cum.T[states[parent]]).argmax(axis=1)
     leaves = tree.leaves
-    rows = np.stack([states[v] + 1 for v in leaves], axis=1)
-    return SampleSet(rows=rows,
-                     variable_names=[tree.leaf_names[v] for v in leaves],
+    row = {v: i for i, v in enumerate(leaves)}
+    store = np.empty((len(leaves), m), dtype=np.min_scalar_type(p.n))  # 0-based states
+    root_pm = np.asarray(p.root_marginal, dtype=float)
+    states = {p.root: rng.choice(p.k, size=m, p=root_pm / root_pm.sum())}
+    for parent, edges in groupby(tree.parent_order(), key=lambda edge: edge[0]):
+        above = states.pop(parent)
+        for _, child in edges:
+            cum = np.cumsum(p.cpts[(parent, child)], axis=0)  # (child_states, parent_states)
+            cum[-1, :] = 1.0
+            drawn = (rng.random(m)[:, None] < cum.T[above]).argmax(axis=1)
+            if child in row:
+                store[row[child]] = drawn
+            else:
+                states[child] = drawn
+    return SampleSet(rows=store.T + 1, variable_names=[tree.leaf_names[v] for v in leaves],
                      n_states=p.n)
 
 

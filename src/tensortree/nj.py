@@ -33,7 +33,10 @@ def distance_matrix(pair_tables, marginals) -> np.ndarray:
     ``pair_tables[(i, j)]`` with i < j holds P(X_i, X_j); singular tables give
     +inf entries.
     """
-    margs = np.array(marginals, dtype=float)
+    try:
+        margs = np.array(marginals, dtype=float)
+    except ValueError:  # marginals of different lengths
+        raise ValueError("table and marginal shapes are inconsistent") from None
     out = np.zeros((len(margs), len(margs)))
     keys = list(pair_tables)  # the dict's own key tuples: no per-pair copies
     # A zero marginal entry's -inf only meets singular tables, which are masked.

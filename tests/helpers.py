@@ -1,12 +1,12 @@
 """Reference code shared by the tests: plain graph searches written apart from
-the one orientation ``LatentTree`` keeps, a caterpillar tree, and bench means
-that refuse NaN outcomes."""
+the one orientation ``LatentTree`` keeps, a caterpillar tree, bench means that
+refuse NaN outcomes, and ancestral sampling that keeps every node's states."""
 
 import math
 
 import numpy as np
 
-from tensortree.model import LatentTree
+from tensortree.model import LatentTree, SampleSet
 from tensortree.tensors import QuartetRelation
 
 
@@ -100,3 +100,22 @@ def recursive_random_topology(d, beta, seed):
     adj[a] = [x if x != root else b for x in adj[a]]
     adj[b] = [x if x != root else a for x in adj[b]]
     return {int(u): tuple(sorted(int(v) for v in vs)) for u, vs in adj.items()}
+
+
+def reference_sample(tree, m, seed):
+    """``model.sample`` as it was before it wrote the column store directly: every
+    node's states are kept, and the leaves are stacked into an m x d int64 array."""
+    p = tree.params
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    states = {}
+    root_pm = np.asarray(p.root_marginal, dtype=float)
+    states[p.root] = rng.choice(p.k, size=m, p=root_pm / root_pm.sum())
+    for parent, child in tree.parent_order():
+        cum = np.cumsum(p.cpts[(parent, child)], axis=0)
+        cum[-1, :] = 1.0
+        u = rng.random(m)
+        states[child] = (u[:, None] < cum.T[states[parent]]).argmax(axis=1)
+    leaves = tree.leaves
+    rows = np.stack([states[v] + 1 for v in leaves], axis=1)
+    return SampleSet(rows=rows, variable_names=[tree.leaf_names[v] for v in leaves],
+                     n_states=p.n)

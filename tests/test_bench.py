@@ -269,7 +269,7 @@ class TestHarness:
         table.add("tensor", 100, 0, 1.0, 2.5)
         table.add("tensor", 100, 1, 0.0, 2.5)
         path = tmp_path / "out.csv"
-        table.write_csv(path)
+        path.write_text(table.csv_text())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "method,m,trial,outcome,elapsed_ms"
         assert len(lines) == 3

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from tensortree import from_newick, robinson_foulds, write_model
+from tensortree import cli, from_newick, robinson_foulds, write_model
 from tensortree.bench import diagnostics, random_tree_model
 from tensortree.cli import main
+from tensortree.exceptions import ModelError, NumericalError, ParseError
 from tensortree.model import sample
 
 
@@ -171,6 +172,14 @@ class TestBuild:
         assert main(["build", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "t.nwk")]) == 3
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_bytes(b"a,b,c,d\n1,1,1,1\n2,\xe9,1,1\n")
+        out = tmp_path / "t.nwk"
+        assert main(["build", "--input", str(csv), "--out", str(out)]) == 3
+        assert f"cannot read {csv}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_not_allowed(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("a,b,c,d\n1,1,1,1\n")
@@ -239,6 +248,16 @@ class TestDiagnose:
         assert main(["diagnose", "--model", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "d.csv")]) == 3
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        tree = random_tree_model(4, 0.5, 3, 2, 0.5, 2)
+        model = tmp_path / "model.txt"
+        write_model(tree, model)
+        model.write_bytes(model.read_bytes() + b"# caf\xe9\n")
+        out = tmp_path / "d.csv"
+        assert main(["diagnose", "--model", str(model), "--out", str(out)]) == 3
+        assert f"cannot read {model}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def exit_code(argv):
     """main's return value, or the code argparse exits with."""
@@ -259,6 +278,16 @@ def model_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("diagnose") / "model.txt"
     write_model(random_tree_model(5, 0.5, 4, 2, 0.6, 2, hidden_base="identity"), path)
     return path
+
+
+def command_args(command, model_file, csv):
+    """Every option but --seed and --out of a valid run of ``command``."""
+    return {"quartet-bench": QUARTET_ARGS, "tree-bench": TREE_ARGS,
+            "build": ["build", "--input", str(csv), "--method", "nj"],
+            "diagnose": ["diagnose", "--model", str(model_file)]}[command]
+
+
+COMMANDS = ["quartet-bench", "tree-bench", "build", "diagnose"]
 
 
 class TestOutOfRangeValues:
@@ -314,6 +343,21 @@ class TestOutOfRangeValues:
                                 f"method {method!r} at n = 33 needs tables of 1185921 bins")
 
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed(self, model_file, fixture_data, tmp_path, capsys, command):
+        argv = command_args(command, model_file, fixture_data[1]) + ["--seed=-1"]
+        self.assert_usage_error(argv, tmp_path / "o.csv", capsys,
+                                "--seed: expected a non-negative integer, got '-1'")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_env_seed(self, model_file, fixture_data, tmp_path, capsys,
+                               monkeypatch, command):
+        monkeypatch.setenv("TENSORTREE_SEED", "-3")
+        self.assert_usage_error(command_args(command, model_file, fixture_data[1]),
+                                tmp_path / "o.csv", capsys,
+                                "TENSORTREE_SEED: expected a non-negative integer, got '-3'")
+
+
 class TestUnwritableOut:
     """An --out path that cannot be written is a data error (exit 3)."""
 
@@ -328,3 +372,61 @@ class TestUnwritableOut:
         assert exit_code(["build", "--input", str(csv), "--method", "nj",
                           "--out", str(out)]) == 3
         assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_checked_before_the_work(self, fixture_data, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+        monkeypatch.setattr(cli, "recover", must_not_run)
+        monkeypatch.setattr(cli, "run_quartet_experiment", must_not_run)
+        _, csv = fixture_data
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "missing" / "o.out", tmp_path / "file" / "o.out"):
+            for argv in (QUARTET_ARGS, ["build", "--input", str(csv)]):
+                assert exit_code(argv + ["--out", str(out)]) == 3
+                assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_refused_command_leaves_existing_out(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        csv.write_text("a,b,c,d\n1,1,x,1\n")
+        out = tmp_path / "t.nwk"
+        out.write_text("kept\n")
+        assert exit_code(["build", "--input", str(csv), "--out", str(out)]) == 3
+        assert out.read_text() == "kept\n"
+
+
+class TestErrorsEndInMain:
+    """Library errors raised inside a command reach ``main``, which prints
+    ``error: <message>`` and maps them to exit codes; other errors propagate."""
+
+    @pytest.mark.parametrize("error, code", [(ModelError("bad tree"), 3),
+                                             (ParseError("bad label", line=2), 3),
+                                             (NumericalError("SVD did not converge"), 4)])
+    def test_library_error_exit_code(self, fixture_data, tmp_path, capsys, monkeypatch,
+                                     error, code):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "recover", fail)
+        monkeypatch.setattr(cli, "run_quartet_experiment", fail)
+        _, csv = fixture_data
+        for argv in (QUARTET_ARGS, ["build", "--input", str(csv)]):
+            out = tmp_path / "o.out"
+            assert exit_code(argv + ["--out", str(out)]) == code
+            assert capsys.readouterr().err == f"error: {error}\n"
+            assert not out.exists()
+
+    def test_diagnose_numerical_error(self, model_file, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("SVD did not converge")
+        monkeypatch.setattr(cli, "diagnostics", fail)
+        assert exit_code(["diagnose", "--model", str(model_file),
+                          "--out", str(tmp_path / "d.csv")]) == 4
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError, RuntimeError])
+    def test_programming_error_propagates(self, fixture_data, tmp_path, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("bug in recover")
+        monkeypatch.setattr(cli, "recover", broken)
+        with pytest.raises(error, match="bug in recover"):
+            main(["build", "--input", str(fixture_data[1]),
+                  "--out", str(tmp_path / "t.nwk")])

@@ -18,7 +18,7 @@ from tensortree.bench import random_topology, random_tree_model
 from tensortree.exceptions import ModelError, ParseError
 from tensortree.resolvers import resolve_oracle
 
-from helpers import caterpillar, dfs_path, disjoint_path_oracle
+from helpers import caterpillar, dfs_path, disjoint_path_oracle, reference_sample
 
 
 def brute_force_joint(tree, leaves):
@@ -232,6 +232,30 @@ class TestSampling:
         s = sample(small_tree, 100000, 5)
         emp = empirical_quartet_tensor(s, (0, 1, 2, 3))
         assert np.linalg.norm(emp.values - exact.values) < 0.02
+
+    @pytest.mark.parametrize("d, beta, n, k, base, seed", [
+        (4, 0.5, 3, 2, "independent", 0), (9, 0.3, 5, 3, "identity", 1),
+        (33, 0.5, 10, 4, "independent", 2), (40, 0.1, 6, 6, "identity", 3),
+        (6, 0.5, 256, 3, "independent", 4), (5, 0.5, 255, 2, "identity", 5)])
+    def test_bitwise_equal_to_reference(self, d, beta, n, k, base, seed):
+        tree = random_tree_model(d, beta, n, k, 0.5, seed, hidden_base=base)
+        s, ref = sample(tree, 3000, [seed, 7]), reference_sample(tree, 3000, [seed, 7])
+        assert s.columns.dtype == ref.columns.dtype == np.min_scalar_type(n)
+        assert np.array_equal(s.columns, ref.columns)
+        assert s.variable_names == ref.variable_names and s.n_states == ref.n_states
+
+    def test_peak_memory_keeps_no_int64_stack(self):
+        # Keeping all 126 nodes' int64 states and an m x d int64 stack, as
+        # ``reference_sample`` does, peaks near 39 MiB; the store is 1.3 MB.
+        tree = random_tree_model(64, 0.5, 10, 4, 0.5, 1)
+        tracemalloc.start()
+        try:
+            s = sample(tree, 20_000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.columns.shape == (64, 20_000)
+        assert peak < 12 * 2 ** 20
 
 
 class TestEmpirical:

@@ -91,6 +91,11 @@ class TestAdditiveDistance:
         with pytest.raises(ValueError):
             additive_distance(p, np.array([0.9, 0.1]), np.array([0.5, 0.5]))
 
+    def test_marginals_of_different_lengths_rejected(self):
+        p = np.full((3, 2), 1 / 6)
+        with pytest.raises(ValueError, match="table and marginal shapes are inconsistent"):
+            additive_distance(p, p.sum(axis=1), p.sum(axis=0))
+
     def test_matches_reference(self):
         # Each table both ways round, the transposed one as a strided view.
         tables, marginals = sample_tables(30, 200, 4)
