@@ -33,10 +33,6 @@ from .tensors import JointTensor4, QuartetRelation, kronecker, nuclear_norm
 # ---------------------------------------------------------------------------
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def identity_base(rows: int, cols: int) -> np.ndarray:
     """First ``cols`` columns of the rows x rows identity (zero-padded rows)."""
     if cols > rows:
@@ -56,7 +52,7 @@ def perturb_stochastic(base: np.ndarray, mu: float, seed) -> np.ndarray:
     base = np.asarray(base, dtype=float)
     if mu == 0:
         return base.copy()
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     noisy = base + rng.uniform(0.0, mu, size=base.shape)
     return noisy / noisy.sum(axis=0, keepdims=True)
 
@@ -124,7 +120,7 @@ def pairwise_tables(tensor: JointTensor4) -> dict:
 
 def random_quartet_model(k_h: int, k_g: int, n: int, mu: float, seed) -> QuartetModel:
     """Perturbed-identity observations over a perturbed-independent hidden edge."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     p_h = perturbed_marginal(k_h, mu, rng)
     g_given_h = perturb_stochastic(uniform_base(k_g, k_h), mu, rng)
     joint = (g_given_h * p_h[None, :]).T
@@ -176,7 +172,7 @@ def random_topology(d: int, beta: float, seed) -> LatentTree:
         raise ValueError(f"need d >= 4, got {d}")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     adj: dict[int, list[int]] = {i: [] for i in range(d)}
     parts = []  # roots of the finished subtrees
     stack = [list(range(d))]  # groups to grow; None joins the last two parts
@@ -217,7 +213,7 @@ def parameterize(tree: LatentTree, n: int, k: int, mu: float, seed,
         raise ValueError(f"need k <= n, got k={k}, n={n}")
     if hidden_base not in ("independent", "identity"):
         raise ValueError(f"unknown hidden_base {hidden_base!r}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     adj = {u: tree.neighbors(u) for u in tree.nodes()}
     root = min(tree.hidden)
     cpts = {}
@@ -235,7 +231,7 @@ def parameterize(tree: LatentTree, n: int, k: int, mu: float, seed,
 
 def random_tree_model(d: int, beta: float, n: int, k: int, mu: float, seed,
                       hidden_base: str = "independent") -> LatentTree:
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     return parameterize(random_topology(d, beta, rng), n, k, mu, rng,
                         hidden_base=hidden_base)
 
@@ -332,7 +328,8 @@ def _quartets(leaves, max_quartets, seed):
     if max_quartets is None or total <= max_quartets:
         yield from itertools.combinations(leaves, 4)
         return
-    for rank in sorted(_as_rng(seed).choice(total, size=max_quartets, replace=False).tolist()):
+    ranks = np.random.default_rng(seed).choice(total, size=max_quartets, replace=False)
+    for rank in sorted(ranks.tolist()):
         quartet, i = [], 0
         while len(quartet) < 4:  # C(d - i - 1, 3 - len) subsets take leaves[i] next
             block = math.comb(len(leaves) - i - 1, 3 - len(quartet))
@@ -428,12 +425,7 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
     if family == "nj":
         tables = {(i, j): empirical_pairwise(samples, i, j)
                   for i in range(d) for j in range(i + 1, d)}
-        # Marginals come from tables already counted.  The last column's is the
-        # row sum of a contiguous transpose: a sum over the strided view could
-        # round differently from a row sum of a table counted the other way.
-        marginals = [tables[(i, i + 1)].sum(axis=1) for i in range(d - 1)]
-        marginals.append(np.ascontiguousarray(tables[(0, d - 1)].T).sum(axis=1))
-        return neighbor_join(distance_matrix(tables, marginals), samples.variable_names)
+        return neighbor_join(distance_matrix(tables), samples.variable_names)
     if family == "oracle":
         if truth is None:
             raise ValueError("method 'oracle' needs the true tree")
@@ -523,10 +515,10 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 
 
-def _nj_quartet_relation(pairs, marginals) -> QuartetRelation:
+def _nj_quartet_relation(pairs) -> QuartetRelation:
     """Quartet pairing minimizing the summed within-pair additive distances."""
     def dist(i, j):  # i < j: every pair below is a key of ``pairs``
-        val = additive_distance(pairs[(i, j)], marginals[i], marginals[j])
+        val = additive_distance(pairs[(i, j)])
         return INFINITE_SENTINEL if math.isinf(val) else val
 
     scores = [dist(1, 2) + dist(3, 4), dist(1, 3) + dist(2, 4),
@@ -546,7 +538,6 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
         counts = rng.multinomial(m, p_flat).reshape(n, n, n, n)
         emp = JointTensor4(counts / m)
         pairs = None
-        marginals = None
         for name in cfg.methods:
             family, k = parse_method(name)
             t0 = time.perf_counter()
@@ -558,14 +549,10 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
                 else:
                     if pairs is None:
                         pairs = pairwise_tables(emp)
-                        marginals = {1: pairs[(1, 2)].sum(axis=1),
-                                     2: pairs[(1, 2)].sum(axis=0),
-                                     3: pairs[(3, 4)].sum(axis=1),
-                                     4: pairs[(3, 4)].sum(axis=0)}
                     if family == "spectral":
                         rel = resolve_spectral_k(pairs, k).relation
                     else:
-                        rel = _nj_quartet_relation(pairs, marginals)
+                        rel = _nj_quartet_relation(pairs)
                 outcome = 1.0 if rel == model.true_relation else 0.0
             except TensorTreeError:
                 outcome = math.nan

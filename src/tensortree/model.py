@@ -341,7 +341,7 @@ def sample(tree: LatentTree, m: int, seed) -> SampleSet:
     p = tree._require_params()
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     leaves = tree.leaves
     row = {v: i for i, v in enumerate(leaves)}
     store = np.empty((len(leaves), m), dtype=np.min_scalar_type(p.n))  # 0-based states

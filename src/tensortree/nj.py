@@ -1,7 +1,8 @@
 """Neighbor-joining baseline with the determinant-based additive distance.
 
 The distance between two discrete variables is
-``d_ij = 0.5*log det diag(P_i) - log|det P_ij| + 0.5*log det diag(P_j)``.
+``d_ij = 0.5*log det diag(P_i) - log|det P_ij| + 0.5*log det diag(P_j)``,
+where ``P_i`` and ``P_j`` are the row and column sums of the joint table ``P_ij``.
 It is additive along the tree when hidden and observed cardinalities match;
 a singular pairwise table makes it undefined, which is recorded as +inf and
 replaced by a large finite sentinel inside the joining loop.
@@ -21,39 +22,36 @@ INFINITE_SENTINEL = 1e12
 _CHUNK = 1024
 
 
-def additive_distance(p_ij: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> float:
-    """Determinant-based distance of two variables; +inf if the joint table is
-    singular."""
-    return float(distance_matrix({(0, 1): p_ij}, [p_i, p_j])[0, 1])
+def additive_distance(p_ij: np.ndarray) -> float:
+    """Determinant-based distance of two variables from their joint table; +inf
+    if the table is singular."""
+    return float(distance_matrix({(0, 1): p_ij})[0, 1])
 
 
-def distance_matrix(pair_tables, marginals) -> np.ndarray:
-    """Symmetric distance matrix from per-pair tables and per-variable marginals.
+def distance_matrix(pair_tables) -> np.ndarray:
+    """Symmetric distance matrix from per-pair tables.
 
-    ``pair_tables[(i, j)]`` with i < j holds P(X_i, X_j); singular tables give
-    +inf entries.
+    ``pair_tables[(i, j)]`` with i < j holds P(X_i, X_j), whose row and column
+    sums are P(X_i) and P(X_j); the matrix spans 1 + the largest index.
+    Singular tables give +inf entries.
     """
-    try:
-        margs = np.array(marginals, dtype=float)
-    except ValueError:  # marginals of different lengths
-        raise ValueError("table and marginal shapes are inconsistent") from None
-    out = np.zeros((len(margs), len(margs)))
     keys = list(pair_tables)  # the dict's own key tuples: no per-pair copies
-    # A zero marginal entry's -inf only meets singular tables, which are masked.
+    ends = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    out = np.zeros((ends.max(initial=-1) + 1,) * 2)
+    # A zero row or column sum only occurs in a singular table, which is masked.
     with np.errstate(divide="ignore", invalid="ignore"):
-        half_log = np.array([0.5 * np.sum(np.log(p)) for p in margs])
         for start in range(0, len(keys), _CHUNK):
             chunk = [pair_tables[key] for key in keys[start:start + _CHUNK]]
-            if {np.shape(t) for t in chunk} != {margs.shape[1:] * 2}:
-                raise ValueError("table and marginal shapes are inconsistent")
+            square = np.shape(chunk[0])[:1] * 2
+            if {np.shape(t) for t in chunk} != {square}:
+                raise ValueError("pairwise table shapes are inconsistent")
             tables = np.array(chunk, dtype=float)
-            i, j = np.array(keys[start:start + _CHUNK]).T
-            gaps = (tables.sum(axis=2) - margs[i], tables.sum(axis=1) - margs[j])
-            if any(np.max(np.abs(g)) > 1e-9 for g in gaps):
-                raise ValueError("pairwise table margins do not match the marginals")
+            i, j = ends[start:start + _CHUNK].T
+            half_log = (0.5 * np.log(tables.sum(axis=2)).sum(axis=1)
+                        + 0.5 * np.log(tables.sum(axis=1)).sum(axis=1))
             sign, logdet = np.linalg.slogdet(tables)
             out[i, j] = out[j, i] = np.where((sign != 0) & np.isfinite(logdet),
-                                             half_log[i] + half_log[j] - logdet, math.inf)
+                                             half_log - logdet, math.inf)
     return out
 
 

@@ -77,17 +77,6 @@ def unfold(tensor: JointTensor4, grouping: QuartetRelation) -> np.ndarray:
     return tensor.values.transpose(axes).reshape(n * n, n * n, order="F")
 
 
-def refold(matrix: np.ndarray, grouping: QuartetRelation, n: int) -> JointTensor4:
-    """Inverse of :func:`unfold`: rebuild the tensor from one of its unfoldings."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (n * n, n * n):
-        raise ValueError(f"expected shape {(n * n, n * n)}, got {m.shape}")
-    axes = _UNFOLD_AXES[QuartetRelation(grouping)]
-    permuted = m.reshape(n, n, n, n, order="F")
-    inverse = np.argsort(axes)
-    return JointTensor4(permuted.transpose(inverse))
-
-
 def spectral(matrix: np.ndarray) -> np.ndarray:
     """Singular values of a dense matrix, in descending order."""
     m = np.asarray(matrix, dtype=float)

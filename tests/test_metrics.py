@@ -170,3 +170,26 @@ class TestProperties:
     def test_symmetric(self, d, beta, seed):
         a, b = (random_topology(d, beta[i], seed[i]) for i in range(2))
         assert robinson_foulds(a, b) == robinson_foulds(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="(),;: \n.-+eab019", max_size=40))
+    def test_random_newick_raises_only_parse_error(self, text):
+        try:
+            from_newick(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=TOPOLOGIES, edits=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                                  st.sampled_from(list("(),;: x") + [""])),
+                                        min_size=1, max_size=4))
+    def test_edited_newick_raises_only_parse_error(self, t, edits):
+        # Each edit replaces one character of a valid tree, or deletes it.
+        text = to_newick(t)
+        for at, char in edits:
+            i = at % len(text)
+            text = text[:i] + char + text[i + 1:]
+        try:
+            from_newick(text)
+        except ParseError:
+            pass

@@ -1,7 +1,12 @@
 """Unit tests for the plain-text model file format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensortree import read_model, write_model
 from tensortree.bench import diagnostics, random_tree_model
@@ -120,3 +125,60 @@ class TestErrors:
             "hidden 4\nhidden 5\n"
             "edge 4 0\nedge 4 1\nedge 4 5\nedge 5 2\nedge 5 3\n")
         assert read_model(path).d == 4
+
+
+# Tokens a mutated model file may carry in place of a valid one.
+BAD_TOKENS = ["nan", "inf", "-1", "1e400", "9" * 5000, "bogus", "leaf", "cpt"]
+MUTATIONS = st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
+                      st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                      st.sampled_from(BAD_TOKENS))
+
+
+class TestProperties:
+    # hypothesis refuses function-scoped fixtures such as tmp_path, so each
+    # example writes into its own temporary directory.
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(4, 12), n=st.integers(2, 5), data=st.data(),
+           mu=st.floats(0.0, 2.0), hidden_base=st.sampled_from(["independent", "identity"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip(self, d, n, data, mu, hidden_base, seed):
+        k = data.draw(st.integers(2, n))
+        tree = random_tree_model(d, 0.5, n, k, mu, seed, hidden_base=hidden_base)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            write_model(tree, path)
+            back = read_model(path)
+        assert back.edges() == tree.edges()
+        assert back.leaf_names == tree.leaf_names
+        p, q = tree.params, back.params
+        assert (q.root, q.n, q.k) == (p.root, p.n, p.k)
+        # %.17g round-trips every float64 exactly.
+        assert np.array_equal(q.root_marginal, p.root_marginal)
+        assert q.cpts.keys() == p.cpts.keys()
+        for edge, cpt in p.cpts.items():
+            assert np.array_equal(q.cpts[edge], cpt)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(4, 7), seed=st.integers(0, 2 ** 32 - 1),
+           mutations=st.lists(MUTATIONS, min_size=1, max_size=6))
+    def test_mutated_files_raise_only_parse_error(self, d, seed, mutations):
+        tree = random_tree_model(d, 0.5, 3, 2, 0.7, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            write_model(tree, path)
+            lines = [line.split() for line in path.read_text().splitlines()]
+            for op, at, token_at, token in mutations:
+                if not lines:
+                    break
+                i = at % len(lines)
+                if op == "delete":
+                    del lines[i]
+                elif op == "duplicate":
+                    lines.insert(i, list(lines[i]))
+                else:
+                    lines[i][token_at % len(lines[i])] = token
+            path.write_text("".join(" ".join(fields) + "\n" for fields in lines))
+            try:
+                read_model(path)
+            except ParseError:
+                pass

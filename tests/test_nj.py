@@ -57,52 +57,43 @@ def reference_nj_edges(dist):
     return sorted(edges + [(x, h) for x in active])
 
 
-def reference_additive_distance(p_ij, p_i, p_j):
-    """The distance of one pair with its own ``slogdet``: the per-pair formula
-    that ``distance_matrix`` batches."""
+def reference_additive_distance(p_ij):
+    """The distance of one pair with its own ``slogdet`` and its own row and
+    column sums: the per-pair formula that ``distance_matrix`` batches."""
     sign, logdet = np.linalg.slogdet(p_ij)
     if sign == 0 or not np.isfinite(logdet):
         return math.inf
-    return float(0.5 * np.sum(np.log(p_i)) + 0.5 * np.sum(np.log(p_j)) - logdet)
+    return float(0.5 * np.sum(np.log(p_ij.sum(axis=1)))
+                 + 0.5 * np.sum(np.log(p_ij.sum(axis=0))) - logdet)
 
 
 class TestAdditiveDistance:
     def test_deterministic_copy_zero(self):
         n = 4
         p = np.eye(n) / n
-        u = np.full(n, 1 / n)
-        assert additive_distance(p, u, u) == pytest.approx(0.0, abs=1e-12)
+        assert additive_distance(p) == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_infinite(self):
         u = np.full(3, 1 / 3)
         p = np.outer(u, u)
-        assert math.isinf(additive_distance(p, u, u))
+        assert math.isinf(additive_distance(p))
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         p = rng.random((3, 3))
         p /= p.sum()
-        d1 = additive_distance(p, p.sum(axis=1), p.sum(axis=0))
-        d2 = additive_distance(p.T, p.sum(axis=0), p.sum(axis=1))
-        assert d1 == pytest.approx(d2, abs=1e-10)
-
-    def test_inconsistent_marginals_rejected(self):
-        p = np.full((2, 2), 0.25)
-        with pytest.raises(ValueError):
-            additive_distance(p, np.array([0.9, 0.1]), np.array([0.5, 0.5]))
+        assert additive_distance(p) == pytest.approx(additive_distance(p.T), abs=1e-10)
 
     def test_marginals_of_different_lengths_rejected(self):
-        p = np.full((3, 2), 1 / 6)
-        with pytest.raises(ValueError, match="table and marginal shapes are inconsistent"):
-            additive_distance(p, p.sum(axis=1), p.sum(axis=0))
+        # A 3x2 table's row and column sums have different lengths.
+        with pytest.raises(ValueError, match="pairwise table shapes are inconsistent"):
+            additive_distance(np.full((3, 2), 1 / 6))
 
     def test_matches_reference(self):
         # Each table both ways round, the transposed one as a strided view.
-        tables, marginals = sample_tables(30, 200, 4)
-        for (i, j), table in tables.items():
-            for t, a, b in ((table, i, j), (table.T, j, i)):
-                assert additive_distance(t, marginals[a], marginals[b]) == \
-                    reference_additive_distance(t, marginals[a], marginals[b])
+        for table in sample_tables(30, 200, 4).values():
+            for t in (table, table.T):
+                assert additive_distance(t) == reference_additive_distance(t)
 
     def test_four_point_condition_on_population_tables(self):
         # Distances from exact k = n tables satisfy the four-point condition.
@@ -112,8 +103,7 @@ class TestAdditiveDistance:
         dist = {}
         for a, b in itertools.combinations(leaves, 2):
             p = pairwise_distribution(tree, a, b)
-            dist[(a, b)] = dist[(b, a)] = additive_distance(
-                p, tree.node_marginal(a), tree.node_marginal(b))
+            dist[(a, b)] = dist[(b, a)] = additive_distance(p)
         for q in itertools.combinations(leaves, 4):
             sums = sorted([dist[(q[0], q[1])] + dist[(q[2], q[3])],
                            dist[(q[0], q[2])] + dist[(q[1], q[3])],
@@ -122,44 +112,35 @@ class TestAdditiveDistance:
 
 
 def sample_tables(d, m, seed):
-    """Pairwise tables and marginals of d correlated 3-state columns; column 7
-    is constant and column 20 uses two states, so their tables are singular."""
+    """Pairwise tables of d correlated 3-state columns; column 7 is constant
+    and column 20 uses two states, so their tables are singular."""
     rng = np.random.default_rng(seed)
     base = rng.integers(1, 4, m)
     rows = np.where(rng.random((m, d)) < 0.6, base[:, None], rng.integers(1, 4, (m, d)))
     rows[:, 7] = 1
     rows[:, 20] = np.minimum(rows[:, 20], 2)
     s = SampleSet(rows=rows, variable_names=[f"X{i}" for i in range(d)], n_states=3)
-    tables = {(i, j): empirical_pairwise(s, i, j)
-              for i, j in itertools.combinations(range(d), 2)}
-    marginals = [np.bincount(rows[:, i] - 1, minlength=3) / m for i in range(d)]
-    return tables, marginals
+    return {(i, j): empirical_pairwise(s, i, j)
+            for i, j in itertools.combinations(range(d), 2)}
 
 
 class TestDistanceMatrix:
     def test_matches_additive_distance_loop(self):
         # 1,225 pairs: more than one batch of determinants.
-        tables, marginals = sample_tables(50, 400, 0)
+        tables = sample_tables(50, 400, 0)
         ref = np.zeros((50, 50))
         for (i, j), table in tables.items():
-            ref[i, j] = ref[j, i] = reference_additive_distance(
-                table, marginals[i], marginals[j])
-        got = distance_matrix(tables, marginals)
+            ref[i, j] = ref[j, i] = reference_additive_distance(table)
+        got = distance_matrix(tables)
         assert np.array_equal(got, ref)
         assert np.isinf(got[7, 8]) and np.isinf(got[3, 20])
         assert np.isfinite(got[0, 1])
 
-    def test_margin_mismatch_raises(self):
-        tables, marginals = sample_tables(50, 400, 1)
-        tables[(48, 49)] = tables[(48, 49)][::-1]  # in the second batch
-        with pytest.raises(ValueError, match="margins do not match the marginals"):
-            distance_matrix(tables, marginals)
-
     def test_shape_mismatch_raises(self):
-        tables, marginals = sample_tables(30, 100, 2)
+        tables = sample_tables(30, 100, 2)
         tables[(0, 1)] = np.full((2, 2), 0.25)
         with pytest.raises(ValueError, match="shapes are inconsistent"):
-            distance_matrix(tables, marginals)
+            distance_matrix(tables)
 
 
 class TestNeighborJoin:
@@ -176,8 +157,7 @@ class TestNeighborJoin:
                                 hidden_base="identity")
             tables = {(i, j): pairwise_distribution(tree, i, j)
                       for i, j in itertools.combinations(tree.leaves, 2)}
-            marg = [tree.node_marginal(i) for i in tree.leaves]
-            built = neighbor_join(distance_matrix(tables, marg),
+            built = neighbor_join(distance_matrix(tables),
                                   [tree.leaf_names[i] for i in tree.leaves])
             assert robinson_foulds(built, tree) == 0
 

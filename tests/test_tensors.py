@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tensortree import (JointTensor4, QuartetRelation, khatri_rao, kronecker,
-                        nuclear_norm, numerical_rank, refold, spectral, unfold)
+                        nuclear_norm, numerical_rank, spectral, unfold)
 from tensortree.exceptions import NumericalError
 
 
@@ -35,13 +35,13 @@ class TestUnfold:
         (QuartetRelation.PAIR_14_23, (0, 3), (1, 2)),
     ])
     def test_index_law_all_groupings(self, relation, rowpair, colpair):
-        n = 3
-        t = random_tensor(n, 0)
-        m = unfold(t, relation)
-        for idx in np.ndindex(n, n, n, n):
-            row = idx[rowpair[0]] + n * idx[rowpair[1]]
-            col = idx[colpair[0]] + n * idx[colpair[1]]
-            assert m[row, col] == t.values[idx]
+        for n in (2, 3, 5):
+            t = random_tensor(n, 0)
+            m = unfold(t, relation)
+            for idx in np.ndindex(n, n, n, n):
+                row = idx[rowpair[0]] + n * idx[rowpair[1]]
+                col = idx[colpair[0]] + n * idx[colpair[1]]
+                assert m[row, col] == t.values[idx]
 
     def test_entry_preserving(self):
         t = random_tensor(4, 1)
@@ -57,11 +57,6 @@ class TestUnfold:
         assert np.array_equal(unfold(t, QuartetRelation.PAIR_13_24),
                               unfold(swapped, QuartetRelation.PAIR_12_34))
 
-    def test_refold_round_trip(self):
-        t = random_tensor(3, 3)
-        for rel in QuartetRelation:
-            back = refold(unfold(t, rel), rel, 3)
-            assert np.array_equal(back.values, t.values)
 
 
 class TestSpectral:
@@ -110,14 +105,6 @@ class TestSpectral:
 
 
 class TestProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 5))
-    def test_refold_inverts_unfold(self, data, n):
-        vals = data.draw(arrays(float, (n,) * 4, elements=st.floats(1e-3, 1.0)))
-        t = JointTensor4(vals / vals.sum())
-        for rel in QuartetRelation:
-            assert np.array_equal(refold(unfold(t, rel), rel, n).values, t.values)
-
     @settings(max_examples=200, deadline=None)
     @given(m=arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=8),
                     elements=st.floats(-1e3, 1e3)))
