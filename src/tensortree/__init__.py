@@ -7,9 +7,9 @@ from .exceptions import (ModelError, NumericalError, ParseError,  # noqa: F401
 from .tensors import (JointTensor4, QuartetRelation, khatri_rao,  # noqa: F401
                       kronecker, nuclear_norm, numerical_rank, spectral, unfold)
 from .model import (LatentTree, SampleSet, TreeParameters,  # noqa: F401
-                    empirical_pairwise, empirical_quartet_tensor,
-                    exact_quartet_distribution, pairwise_distribution,
-                    quartet_tree, sample)
+                    empirical_pairwise, empirical_pairwise_stack,
+                    empirical_quartet_tensor, exact_quartet_distribution,
+                    pairwise_distribution, quartet_tree, sample)
 from .resolvers import (QuartetVerdict, resolve_nuclear,  # noqa: F401
                         resolve_oracle, resolve_spectral_k)
 from .builder import BuildTrace, build_tree, choose_balanced_root  # noqa: F401

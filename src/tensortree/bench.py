@@ -21,8 +21,8 @@ from .builder import build_tree
 from .exceptions import ModelError, TensorTreeError
 from .metrics import robinson_foulds
 from .model import (LatentTree, SampleSet, TreeParameters, bfs_edges,
-                    empirical_pairwise, empirical_quartet_tensor,
-                    exact_quartet_distribution, sample)
+                    empirical_pairwise, empirical_pairwise_stack,
+                    empirical_quartet_tensor, exact_quartet_distribution, sample)
 from .nj import INFINITE_SENTINEL, additive_distance, distance_matrix, neighbor_join
 from .resolvers import (PAIR_KEYS, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
@@ -423,9 +423,8 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
     family, spectral_k = parse_method(method)
     d = samples.d
     if family == "nj":
-        tables = {(i, j): empirical_pairwise(samples, i, j)
-                  for i in range(d) for j in range(i + 1, d)}
-        return neighbor_join(distance_matrix(tables), samples.variable_names)
+        tables = empirical_pairwise_stack(samples, *np.triu_indices(d, 1))
+        return neighbor_join(distance_matrix(tables, d), samples.variable_names)
     if family == "oracle":
         if truth is None:
             raise ValueError("method 'oracle' needs the true tree")

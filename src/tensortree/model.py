@@ -243,6 +243,7 @@ def pairwise_distribution(tree: LatentTree, i: int, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_LINES = 16_384  # data lines per np.loadtxt call in SampleSet.from_csv
+_ONE_HOT_ENTRIES = 2 ** 19  # float32 entries (2 MiB) per block of empirical_pairwise_stack
 NEWICK_RESERVED = frozenset("(),;: \t\n")  # characters no leaf or variable name may hold
 
 
@@ -386,3 +387,17 @@ def empirical_pairwise(samples: SampleSet, i: int, j: int) -> np.ndarray:
     if i == j:
         raise ValueError("need two distinct column indices")
     return _frequencies(samples, (int(i), int(j)))
+
+
+def empirical_pairwise_stack(samples: SampleSet, i, j) -> np.ndarray:
+    """The tables ``empirical_pairwise(samples, i[t], j[t])`` as one (k, n, n) stack,
+    all counted as ``x @ x.T`` of a float32 one-hot ``x``, one block of samples at
+    a time.  float32 sums of ones are exact below 2^24 samples; float64 past that."""
+    d, n, m = samples.d, samples.n_states, samples.m
+    counts = np.zeros((d * n, d * n), dtype=np.float32 if m < 2 ** 24 else np.float64)
+    step = max(1, _ONE_HOT_ENTRIES // (d * n))
+    for start in range(0, m, step):
+        x = samples.columns[:, None, start:start + step] == np.arange(n)[:, None]
+        x = x.reshape(d * n, -1).astype(np.float32)
+        counts += x @ x.T
+    return np.divide(counts.reshape(d, n, d, n)[i, :, j, :], m, dtype=np.float64)

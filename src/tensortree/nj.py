@@ -18,40 +18,36 @@ from .model import LatentTree
 
 # Stand-in for an infinite distance; far above any finite value at n <= 20.
 INFINITE_SENTINEL = 1e12
-# Pairs per batch of determinants in distance_matrix; bounds the stacked copy.
-_CHUNK = 1024
+
+
+def logdet_distances(tables) -> np.ndarray:
+    """Determinant-based distances of a ``(k, n, n)`` stack of joint tables;
+    +inf where a table is singular."""
+    tables = np.asarray(tables, dtype=float)
+    if tables.ndim != 3 or tables.shape[1] != tables.shape[2]:
+        raise ValueError("pairwise table shapes are inconsistent")
+    # A zero row or column sum only occurs in a singular table, which is masked.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_log = (0.5 * np.log(tables.sum(axis=2)).sum(axis=1)
+                    + 0.5 * np.log(tables.sum(axis=1)).sum(axis=1))
+        sign, logdet = np.linalg.slogdet(tables)
+        return np.where((sign != 0) & np.isfinite(logdet), half_log - logdet, math.inf)
 
 
 def additive_distance(p_ij: np.ndarray) -> float:
-    """Determinant-based distance of two variables from their joint table; +inf
-    if the table is singular."""
-    return float(distance_matrix({(0, 1): p_ij})[0, 1])
+    """Determinant-based distance of one joint table; +inf if it is singular."""
+    return float(logdet_distances([p_ij])[0])
 
 
-def distance_matrix(pair_tables) -> np.ndarray:
-    """Symmetric distance matrix from per-pair tables.
-
-    ``pair_tables[(i, j)]`` with i < j holds P(X_i, X_j), whose row and column
-    sums are P(X_i) and P(X_j); the matrix spans 1 + the largest index.
-    Singular tables give +inf entries.
-    """
-    keys = list(pair_tables)  # the dict's own key tuples: no per-pair copies
-    ends = np.array(keys, dtype=np.intp).reshape(-1, 2)
-    out = np.zeros((ends.max(initial=-1) + 1,) * 2)
-    # A zero row or column sum only occurs in a singular table, which is masked.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(keys), _CHUNK):
-            chunk = [pair_tables[key] for key in keys[start:start + _CHUNK]]
-            square = np.shape(chunk[0])[:1] * 2
-            if {np.shape(t) for t in chunk} != {square}:
-                raise ValueError("pairwise table shapes are inconsistent")
-            tables = np.array(chunk, dtype=float)
-            i, j = ends[start:start + _CHUNK].T
-            half_log = (0.5 * np.log(tables.sum(axis=2)).sum(axis=1)
-                        + 0.5 * np.log(tables.sum(axis=1)).sum(axis=1))
-            sign, logdet = np.linalg.slogdet(tables)
-            out[i, j] = out[j, i] = np.where((sign != 0) & np.isfinite(logdet),
-                                             half_log - logdet, math.inf)
+def distance_matrix(tables, d: int) -> np.ndarray:
+    """Symmetric d x d distance matrix from the stack of pairwise tables
+    P(X_i, X_j), whose row and column sums are P(X_i) and P(X_j), in
+    ``np.triu_indices(d, 1)`` order.  Singular tables give +inf entries."""
+    i, j = np.triu_indices(d, 1)
+    if len(tables) != len(i):
+        raise ValueError(f"need {len(i)} pairwise tables for d = {d}, got {len(tables)}")
+    out = np.zeros((d, d))
+    out[i, j] = out[j, i] = logdet_distances(tables)
     return out
 
 

@@ -224,16 +224,16 @@ def test_nj_population_consistency():
     for seed in range(20):
         topo = random_topology(7, 0.5, [9, seed])
         tree = parameterize(topo, 3, 3, 0.9, [10, seed], hidden_base="identity")
-        tables = {(i, j): pairwise_distribution(tree, i, j)
-                  for i, j in itertools.combinations(tree.leaves, 2)}
-        built = neighbor_join(distance_matrix(tables),
+        tables = [pairwise_distribution(tree, i, j)
+                  for i, j in itertools.combinations(tree.leaves, 2)]
+        built = neighbor_join(distance_matrix(tables, len(tree.leaves)),
                               [tree.leaf_names[i] for i in tree.leaves])
         failures += robinson_foulds(built, tree) != 0
     # Degenerate k < n case: determinants vanish, distances become infinite.
     tree = random_tree_model(6, 0.5, 4, 2, 0.8, 11, hidden_base="identity")
-    tables = {(i, j): pairwise_distribution(tree, i, j)
-              for i, j in itertools.combinations(tree.leaves, 2)}
-    dist = distance_matrix(tables)
+    tables = [pairwise_distribution(tree, i, j)
+              for i, j in itertools.combinations(tree.leaves, 2)]
+    dist = distance_matrix(tables, len(tree.leaves))
     sentinel_used = bool(np.isinf(dist).any())
     built = neighbor_join(dist, [tree.leaf_names[i] for i in tree.leaves])
     report("nj-consistency",

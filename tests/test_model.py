@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from tensortree import model
 from tensortree import (LatentTree, QuartetRelation, SampleSet, TreeParameters,
-                        empirical_pairwise, empirical_quartet_tensor,
-                        exact_quartet_distribution, pairwise_distribution,
-                        quartet_tree, sample)
+                        empirical_pairwise, empirical_pairwise_stack,
+                        empirical_quartet_tensor, exact_quartet_distribution,
+                        pairwise_distribution, quartet_tree, sample)
 from tensortree.bench import random_topology, random_tree_model
 from tensortree.exceptions import ModelError, ParseError
 from tensortree.resolvers import resolve_oracle
@@ -377,6 +377,59 @@ class TestPairwiseValidation:
     def test_same_column(self):
         with pytest.raises(ValueError, match="two distinct"):
             empirical_pairwise(self.samples(), 1, 1)
+
+
+def assert_stack_matches(samples, i, j):
+    """``empirical_pairwise_stack`` against its reference, one count per pair."""
+    got = empirical_pairwise_stack(samples, i, j)
+    want = np.array([empirical_pairwise(samples, a, b) for a, b in zip(i, j)])
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestPairwiseStack:
+    """``empirical_pairwise_stack`` equals ``empirical_pairwise`` bit for bit."""
+
+    def samples(self, m, d=4, n=3, n_states=None, seed=0):
+        rows = np.random.default_rng(seed).integers(1, n + 1, size=(m, d))
+        return SampleSet(rows=rows, variable_names=[f"X{c}" for c in range(d)],
+                         n_states=n_states or n)
+
+    @pytest.mark.parametrize("m", [1, 4, 5, 6, 10, 11])
+    def test_around_a_block(self, m):
+        # d * n = 12 and 60 one-hot entries: blocks of 5 samples.
+        s = self.samples(m)
+        i, j = np.nonzero(~np.eye(4, dtype=bool))  # both orders of every pair
+        with mock.patch.object(model, "_ONE_HOT_ENTRIES", 60):
+            assert_stack_matches(s, i, j)
+
+    def test_constant_column_and_unused_states(self):
+        rows = np.random.default_rng(1).integers(1, 4, size=(300, 5))
+        rows[:, 2] = 4
+        s = SampleSet(rows=rows, variable_names=list("abcde"), n_states=7)
+        assert_stack_matches(s, *np.triu_indices(5, 1))
+        assert_stack_matches(s, [2, 4, 2], [0, 2, 1])
+
+    def test_two_columns(self):
+        s = self.samples(50, d=2, n=2, seed=2)
+        assert_stack_matches(s, [0], [1])
+        assert_stack_matches(s, [1, 0], [0, 1])
+
+    def test_counts_past_float32_exactness(self):
+        # 2^24 + 1 equal rows: a float32 sum of ones stops at 2^24.
+        m = 2 ** 24 + 1
+        s = SampleSet(rows=np.ones((m, 2), dtype=np.uint8), variable_names=["a", "b"],
+                      n_states=1)
+        assert empirical_pairwise_stack(s, [0], [1]).tolist() == [[[1.0]]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 6), n=st.integers(1, 4), extra=st.integers(0, 2),
+           m=st.integers(1, 40), block=st.integers(1, 30), seed=st.integers(0, 2 ** 16))
+    def test_matches_per_pair_counts(self, d, n, extra, m, block, seed):
+        s = self.samples(m, d=d, n=n, n_states=n + extra, seed=seed)
+        i, j = np.nonzero(~np.eye(d, dtype=bool))
+        with mock.patch.object(model, "_ONE_HOT_ENTRIES", block * d * (n + extra)):
+            assert_stack_matches(s, i, j)
 
 
 class TestSampleCsv:

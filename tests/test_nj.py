@@ -8,8 +8,9 @@ import pytest
 
 from tensortree import (SampleSet, additive_distance, distance_matrix,
                         empirical_pairwise, neighbor_join, pairwise_distribution,
-                        robinson_foulds)
-from tensortree.bench import parameterize, random_topology
+                        robinson_foulds, sample, to_newick)
+from tensortree.bench import (parameterize, random_topology, random_tree_model,
+                              recover)
 from tensortree.nj import INFINITE_SENTINEL
 
 
@@ -59,7 +60,7 @@ def reference_nj_edges(dist):
 
 def reference_additive_distance(p_ij):
     """The distance of one pair with its own ``slogdet`` and its own row and
-    column sums: the per-pair formula that ``distance_matrix`` batches."""
+    column sums: the per-pair formula that ``logdet_distances`` stacks."""
     sign, logdet = np.linalg.slogdet(p_ij)
     if sign == 0 or not np.isfinite(logdet):
         return math.inf
@@ -91,7 +92,7 @@ class TestAdditiveDistance:
 
     def test_matches_reference(self):
         # Each table both ways round, the transposed one as a strided view.
-        for table in sample_tables(30, 200, 4).values():
+        for table in sample_tables(30, 200, 4):
             for t in (table, table.T):
                 assert additive_distance(t) == reference_additive_distance(t)
 
@@ -111,36 +112,45 @@ class TestAdditiveDistance:
             assert sums[2] - sums[1] <= 1e-6
 
 
-def sample_tables(d, m, seed):
-    """Pairwise tables of d correlated 3-state columns; column 7 is constant
-    and column 20 uses two states, so their tables are singular."""
+def correlated_samples(d, m, seed):
+    """d correlated 3-state columns; column 7 is constant and column 20 uses
+    two states, so their pairwise tables are singular."""
     rng = np.random.default_rng(seed)
     base = rng.integers(1, 4, m)
     rows = np.where(rng.random((m, d)) < 0.6, base[:, None], rng.integers(1, 4, (m, d)))
     rows[:, 7] = 1
     rows[:, 20] = np.minimum(rows[:, 20], 2)
-    s = SampleSet(rows=rows, variable_names=[f"X{i}" for i in range(d)], n_states=3)
-    return {(i, j): empirical_pairwise(s, i, j)
-            for i, j in itertools.combinations(range(d), 2)}
+    return SampleSet(rows=rows, variable_names=[f"X{i}" for i in range(d)], n_states=3)
+
+
+def sample_tables(d, m, seed):
+    """Stack of the pairwise tables of ``correlated_samples``, in
+    ``np.triu_indices(d, 1)`` order."""
+    s = correlated_samples(d, m, seed)
+    return np.array([empirical_pairwise(s, i, j)
+                     for i, j in itertools.combinations(range(d), 2)])
 
 
 class TestDistanceMatrix:
     def test_matches_additive_distance_loop(self):
-        # 1,225 pairs: more than one batch of determinants.
+        # 1,225 pairs, some of them singular.
         tables = sample_tables(50, 400, 0)
         ref = np.zeros((50, 50))
-        for (i, j), table in tables.items():
+        for (i, j), table in zip(itertools.combinations(range(50), 2), tables):
             ref[i, j] = ref[j, i] = reference_additive_distance(table)
-        got = distance_matrix(tables)
+        got = distance_matrix(tables, 50)
         assert np.array_equal(got, ref)
         assert np.isinf(got[7, 8]) and np.isinf(got[3, 20])
         assert np.isfinite(got[0, 1])
 
     def test_shape_mismatch_raises(self):
         tables = sample_tables(30, 100, 2)
-        tables[(0, 1)] = np.full((2, 2), 0.25)
         with pytest.raises(ValueError, match="shapes are inconsistent"):
-            distance_matrix(tables)
+            distance_matrix(tables[:, :, :2], 30)  # non-square tables
+        # One table too few, and one table, which would broadcast to every pair.
+        for short in (tables[1:], tables[:1]):
+            with pytest.raises(ValueError, match="need 435 pairwise tables for d = 30"):
+                distance_matrix(short, 30)
 
 
 class TestNeighborJoin:
@@ -155,9 +165,9 @@ class TestNeighborJoin:
             topo = random_topology(7, 0.5, [50, seed])
             tree = parameterize(topo, 3, 3, 0.9, [51, seed],
                                 hidden_base="identity")
-            tables = {(i, j): pairwise_distribution(tree, i, j)
-                      for i, j in itertools.combinations(tree.leaves, 2)}
-            built = neighbor_join(distance_matrix(tables),
+            tables = [pairwise_distribution(tree, i, j)
+                      for i, j in itertools.combinations(tree.leaves, 2)]
+            built = neighbor_join(distance_matrix(tables, len(tree.leaves)),
                                   [tree.leaf_names[i] for i in tree.leaves])
             assert robinson_foulds(built, tree) == 0
 
@@ -204,3 +214,28 @@ class TestNeighborJoin:
 
     def test_sentinel_magnitude(self):
         assert INFINITE_SENTINEL > 1e9
+
+
+def reference_nj_build(samples):
+    """The nj build one pair at a time: a count and a distance per pair."""
+    d = samples.d
+    dist = np.zeros((d, d))
+    for i, j in itertools.combinations(range(d), 2):
+        table = empirical_pairwise(samples, i, j)
+        dist[i, j] = dist[j, i] = reference_additive_distance(table)
+    return neighbor_join(dist, samples.variable_names)
+
+
+class TestRecoverMatchesPerPairPath:
+    @pytest.mark.parametrize("d, n, m, seed", [(12, 3, 2000, 0), (30, 4, 300, 1),
+                                               (20, 6, 50, 2)])
+    def test_same_newick(self, d, n, m, seed):
+        truth = random_tree_model(d, 0.5, n, min(n, 3), 0.5, seed, hidden_base="identity")
+        samples = sample(truth, m, seed)
+        want = to_newick(reference_nj_build(samples))
+        assert to_newick(recover(samples, "nj", 0)) == want
+
+    def test_same_newick_with_singular_tables(self):
+        samples = correlated_samples(30, 400, 5)
+        want = to_newick(reference_nj_build(samples))
+        assert to_newick(recover(samples, "nj", 0)) == want
