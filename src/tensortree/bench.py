@@ -20,12 +20,14 @@ import numpy as np
 from .builder import build_tree
 from .exceptions import ModelError, TensorTreeError
 from .metrics import robinson_foulds
-from .model import (LatentTree, SampleSet, TreeParameters, bfs_edges,
-                    empirical_pairwise, empirical_pairwise_stack,
-                    empirical_quartet_tensor, exact_quartet_distribution, sample)
-from .nj import INFINITE_SENTINEL, additive_distance, distance_matrix, neighbor_join
-from .resolvers import (PAIR_KEYS, resolve_nuclear, resolve_oracle,
+from .model import (LatentTree, SampleSet, TreeParameters, empirical_pairwise,
+                    empirical_pairwise_stack, empirical_quartet_tensor,
+                    exact_quartet_distribution, sample)
+from .nj import INFINITE_SENTINEL, distance_matrix, neighbor_join
+from .resolvers import (PAIR_KEYS, four_point, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
+# Unused here, but perfbench/tracing.py patches this name on this module.
+from .nj import additive_distance  # noqa: F401
 from .tensors import JointTensor4, QuartetRelation, kronecker, nuclear_norm
 
 # ---------------------------------------------------------------------------
@@ -108,14 +110,11 @@ class QuartetModel:
         return JointTensor4(values / values.sum())
 
 
-def pairwise_tables(tensor: JointTensor4) -> dict:
-    """The six pairwise marginals of a 4-way table, keyed by (i, j) with
-    1 <= i < j <= 4."""
-    out = {}
-    for i, j in PAIR_KEYS:
-        drop = tuple(a for a in range(4) if a not in (i - 1, j - 1))
-        out[(i, j)] = tensor.values.sum(axis=drop)
-    return out
+def pairwise_tables(tensor: JointTensor4) -> np.ndarray:
+    """The six pairwise marginals of a 4-way table as a (6, n, n) stack in
+    ``PAIR_KEYS`` order."""
+    drops = [tuple(a for a in range(4) if a not in (i - 1, j - 1)) for i, j in PAIR_KEYS]
+    return np.stack([tensor.values.sum(axis=drop) for drop in drops])
 
 
 def random_quartet_model(k_h: int, k_g: int, n: int, mu: float, seed) -> QuartetModel:
@@ -217,7 +216,7 @@ def parameterize(tree: LatentTree, n: int, k: int, mu: float, seed,
     adj = {u: tree.neighbors(u) for u in tree.nodes()}
     root = min(tree.hidden)
     cpts = {}
-    for u, v in bfs_edges(adj, root):
+    for u, v in tree.bfs_edges(root):
         if tree.is_leaf(v):
             cpts[(u, v)] = perturbed_cpt(n, k, mu, rng)
         elif hidden_base == "identity":
@@ -279,8 +278,8 @@ class RecoveryDiagnostics:
 def _quartet_gaps(tensor: JointTensor4) -> tuple[float, float]:
     """(theta, alpha) of a tensor whose true pairing is 12|34: the surrogate gap,
     from its pairwise tables 12 and 34 only, and the nuclear-norm score gap."""
-    pairs = pairwise_tables(tensor)
-    p12, p34 = pairs[(1, 2)], pairs[(3, 4)]
+    tables = pairwise_tables(tensor)
+    p12, p34 = tables[0], tables[5]
     correct = float(np.linalg.norm(kronecker(p34, p12)))
     theta = min(nuclear_norm(kronecker(p34, p12)), nuclear_norm(kronecker(p34.T, p12))) - correct
     right, *wrong = resolve_nuclear(tensor).scores
@@ -423,8 +422,8 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
     family, spectral_k = parse_method(method)
     d = samples.d
     if family == "nj":
-        tables = empirical_pairwise_stack(samples, *np.triu_indices(d, 1))
-        return neighbor_join(distance_matrix(tables, d), samples.variable_names)
+        return neighbor_join(distance_matrix(empirical_pairwise_stack(samples), d),
+                             samples.variable_names)
     if family == "oracle":
         if truth is None:
             raise ValueError("method 'oracle' needs the true tree")
@@ -440,8 +439,8 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
 
         def resolver(a, b, c, dd):
             ids = (a, b, c, dd)
-            pairs = {(i, j): table(ids[i - 1], ids[j - 1]) for i, j in PAIR_KEYS}
-            return resolve_spectral_k(pairs, spectral_k)
+            return resolve_spectral_k(
+                np.stack([table(ids[i - 1], ids[j - 1]) for i, j in PAIR_KEYS]), spectral_k)
     tree, _ = build_tree(resolver, range(d), seed=seed,
                          names=dict(enumerate(samples.variable_names)))
     return tree
@@ -514,17 +513,6 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 
 
-def _nj_quartet_relation(pairs) -> QuartetRelation:
-    """Quartet pairing minimizing the summed within-pair additive distances."""
-    def dist(i, j):  # i < j: every pair below is a key of ``pairs``
-        val = additive_distance(pairs[(i, j)])
-        return INFINITE_SENTINEL if math.isinf(val) else val
-
-    scores = [dist(1, 2) + dist(3, 4), dist(1, 3) + dist(2, 4),
-              dist(1, 4) + dist(2, 3)]
-    return QuartetRelation(int(np.argmin(np.round(scores, 12))) + 1)
-
-
 def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
     model = random_quartet_model(cfg.k_h, cfg.k_g, cfg.n, cfg.mu,
                                  np.random.default_rng([cfg.seed, 1, trial]))
@@ -536,7 +524,7 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
         rng = np.random.default_rng([cfg.seed, 2, trial, mi])
         counts = rng.multinomial(m, p_flat).reshape(n, n, n, n)
         emp = JointTensor4(counts / m)
-        pairs = None
+        tables = None
         for name in cfg.methods:
             family, k = parse_method(name)
             t0 = time.perf_counter()
@@ -546,12 +534,14 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
                 elif family == "oracle":
                     rel = model.true_relation
                 else:
-                    if pairs is None:
-                        pairs = pairwise_tables(emp)
+                    if tables is None:
+                        tables = pairwise_tables(emp)
                     if family == "spectral":
-                        rel = resolve_spectral_k(pairs, k).relation
+                        rel = resolve_spectral_k(tables, k).relation
                     else:
-                        rel = _nj_quartet_relation(pairs)
+                        dist = distance_matrix(tables, 4)
+                        dist[np.isinf(dist)] = INFINITE_SENTINEL
+                        rel = four_point(dist)
                 outcome = 1.0 if rel == model.true_relation else 0.0
             except TensorTreeError:
                 outcome = math.nan

@@ -42,6 +42,11 @@ class TreeParameters:
         # Here and below, NaN and -inf fail ``>= 0`` and +inf fails the sum test.
         if pm.shape != (self.k,) or not np.all(pm >= 0) or abs(pm.sum() - 1.0) > 1e-9:
             raise ModelError("root marginal must be a length-k probability vector")
+        edges = set(tree.bfs_edges(self.root))
+        missing, stray = sorted(edges - set(self.cpts)), sorted(set(self.cpts) - edges)
+        if missing or stray:
+            raise ModelError(f"CPT edges must point away from root {self.root}: "
+                             f"missing cpt for {missing}, stray cpt for {stray}")
         for (parent, child), cpt in self.cpts.items():
             rows = self.n if tree.is_leaf(child) else self.k
             cols = self.n if tree.is_leaf(parent) else self.k
@@ -141,18 +146,18 @@ class LatentTree:
         """(parent, child) pairs of the tree oriented away from ``root``."""
         return bfs_edges(self._adj, root)
 
-    def path(self, u: int, v: int) -> list[int]:
-        """Node sequence from u to v inclusive."""
+    def distance(self, u: int, v: int) -> int:
+        """Number of edges on the path between u and v."""
         parent, depth = self._parent, self._depth
         if u not in depth or v not in depth:
             raise ModelError(f"no path between {u} and {v}")
-        up, down = [u], [v]  # climb whichever side is deeper until the two meet
-        while up[-1] != down[-1]:
-            if depth[up[-1]] >= depth[down[-1]]:
-                up.append(parent[up[-1]])
+        du, dv = depth[u], depth[v]
+        while u != v:  # climb whichever side is deeper until the two meet
+            if depth[u] >= depth[v]:
+                u = parent[u]
             else:
-                down.append(parent[down[-1]])
-        return up + down[-2::-1]
+                v = parent[v]
+        return du + dv - 2 * depth[u]
 
     # -- parameterized queries ---------------------------------------------
 
@@ -389,10 +394,10 @@ def empirical_pairwise(samples: SampleSet, i: int, j: int) -> np.ndarray:
     return _frequencies(samples, (int(i), int(j)))
 
 
-def empirical_pairwise_stack(samples: SampleSet, i, j) -> np.ndarray:
-    """The tables ``empirical_pairwise(samples, i[t], j[t])`` as one (k, n, n) stack,
-    all counted as ``x @ x.T`` of a float32 one-hot ``x``, one block of samples at
-    a time.  float32 sums of ones are exact below 2^24 samples; float64 past that."""
+def empirical_pairwise_stack(samples: SampleSet) -> np.ndarray:
+    """``empirical_pairwise(samples, i, j)`` for every i < j, stacked in ``np.triu_indices``
+    order and counted as ``x @ x.T`` of a float32 one-hot ``x``, one block of samples
+    at a time.  float32 sums of ones are exact below 2^24 samples; float64 past that."""
     d, n, m = samples.d, samples.n_states, samples.m
     counts = np.zeros((d * n, d * n), dtype=np.float32 if m < 2 ** 24 else np.float64)
     step = max(1, _ONE_HOT_ENTRIES // (d * n))
@@ -400,4 +405,5 @@ def empirical_pairwise_stack(samples: SampleSet, i, j) -> np.ndarray:
         x = samples.columns[:, None, start:start + step] == np.arange(n)[:, None]
         x = x.reshape(d * n, -1).astype(np.float32)
         counts += x @ x.T
+    i, j = np.triu_indices(d, 1)
     return np.divide(counts.reshape(d, n, d, n)[i, :, j, :], m, dtype=np.float64)

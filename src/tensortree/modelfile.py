@@ -12,8 +12,9 @@ Format (one directive per line, ``#`` starts a comment):
                               one probability per parent state (columns are
                               conditioned on the parent state)
 
-Directives may come in any order; a cpt block ends at the first line that does
-not start with a number.  Topology-only files omit root/marginal/cpt.
+Directives may come in any order, but a leaf id or a cpt edge only once; a cpt
+block ends at the first line that does not start with a number.  Topology-only
+files omit root/marginal/cpt.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ModelError, ParseError
-from .model import LatentTree, TreeParameters, bfs_edges
+from .model import LatentTree, TreeParameters
 
 
 def _tokens(path):
@@ -72,7 +73,10 @@ def read_model(path) -> LatentTree:
         elif keyword == "leaf":
             if len(args) != 2:
                 fail("leaf needs <id> <name>", lineno)
-            leaf_names[integer(args[0], lineno)] = args[1]
+            leaf = integer(args[0], lineno)
+            if leaf in leaf_names:
+                fail(f"leaf {leaf} is declared twice", lineno)
+            leaf_names[leaf] = args[1]
         elif keyword == "hidden":
             if len(args) != 1:
                 fail("hidden needs <id>", lineno)
@@ -90,8 +94,10 @@ def read_model(path) -> LatentTree:
         elif keyword == "cpt":
             if len(args) != 2:
                 fail("cpt needs <parent> <child>", lineno)
-            cpt_rows = []
-            cpts[(integer(args[0], lineno), integer(args[1], lineno))] = cpt_rows
+            edge = (integer(args[0], lineno), integer(args[1], lineno))
+            if edge in cpts:
+                fail(f"cpt {edge[0]} {edge[1]} is declared twice", lineno)
+            cpt_rows = cpts[edge] = []
         else:
             fail(f"unknown directive {keyword!r}", lineno)
 
@@ -119,11 +125,6 @@ def read_model(path) -> LatentTree:
             raise ParseError(f"root {root} is not a declared hidden node")
         params = TreeParameters(n=n, k=k, root=root,
                                 root_marginal=root_marginal, cpts=cpts)
-        # Every edge oriented away from the root must carry a table; table
-        # shapes are checked by TreeParameters.validate.
-        missing = sorted(e for e in bfs_edges(adj, root) if e not in cpts)
-        if missing:
-            raise ParseError(f"missing cpt directives for edges {missing}")
     try:
         return LatentTree(adj, leaf_names, params=params)
     except ModelError as exc:

@@ -4,7 +4,7 @@ products, and a true-topology oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,34 +65,34 @@ def _top_k_product(table: np.ndarray, k: int) -> float:
     return float(np.prod(sv[:k]))
 
 
-def resolve_spectral_k(pairs: Mapping[tuple[int, int], np.ndarray], k: int,
-                       ) -> QuartetVerdict:
+def resolve_spectral_k(tables, k: int) -> QuartetVerdict:
     """Pick the pairing maximizing the product of the top-k singular values of
-    its two within-group pairwise tables.
-
-    ``pairs`` maps (i, j) with 1 <= i < j <= 4 to the n x n table of
-    variables i and j.
-    """
-    missing = [key for key in PAIR_KEYS if key not in pairs]
-    if missing:
-        raise ValueError(f"missing pairwise tables for {missing}")
-    n = np.asarray(pairs[(1, 2)]).shape[0]
+    its two within-group tables.  ``tables`` is the (6, n, n) stack of pairwise
+    tables in ``PAIR_KEYS`` order, so pairing r joins rows r and 5 - r."""
+    tables = np.asarray(tables)
+    if tables.ndim != 3 or tables.shape[0] != 6 or tables.shape[1] != tables.shape[2]:
+        raise ValueError(f"need a (6, n, n) stack of pairwise tables, got {tables.shape}")
+    n = tables.shape[1]
     if k < 1 or k > n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    scores = [
-        _top_k_product(pairs[(1, 2)], k) * _top_k_product(pairs[(3, 4)], k),
-        _top_k_product(pairs[(1, 3)], k) * _top_k_product(pairs[(2, 4)], k),
-        _top_k_product(pairs[(1, 4)], k) * _top_k_product(pairs[(2, 3)], k),
-    ]
+    scores = [_top_k_product(tables[r], k) * _top_k_product(tables[5 - r], k)
+              for r in range(3)]
     return _decide(scores, minimize=False)
 
 
+def four_point(dist) -> QuartetRelation:
+    """The pairing whose two within-pair distances are smallest in sum, read
+    above the diagonal of a 4 x 4 distance matrix (the four-point condition).
+    Sums are rounded to 12 decimals; ties go to the lowest pairing."""
+    scores = [dist[0][1] + dist[2][3], dist[0][2] + dist[1][3], dist[0][3] + dist[1][2]]
+    return QuartetRelation(int(np.argmin(np.round(scores, 12))) + 1)
+
+
 def resolve_oracle(tree: LatentTree, leaves: Sequence[int]) -> QuartetRelation:
-    """The pairing induced by the true topology: by the four-point condition,
-    the grouping whose two within-pair paths are shortest in sum (strictly, in
-    a tree whose hidden nodes have degree 3)."""
+    """The pairing induced by the true topology: the four-point rule on edge
+    counts, whose minimum is strict in a tree whose hidden nodes have degree 3."""
     a, b, c, d = leaves
     if len({a, b, c, d}) != 4:
         raise ModelError(f"need four distinct leaves, got {leaves}")
-    return min(QuartetRelation, key=lambda rel: sum(
-        len(tree.path(leaves[i - 1], leaves[j - 1])) for i, j in rel.groups))
+    return four_point([[tree.distance(u, v) if i < j else 0 for j, v in enumerate(leaves)]
+                       for i, u in enumerate(leaves)])

@@ -115,7 +115,7 @@ def test_independence_identities():
         # The wrong unfoldings factor as Kronecker products of pairwise tables.
         pairs = pairwise_tables(t)
         worst_eq = max(worst_eq, float(np.abs(
-            b - kronecker(pairs[(3, 4)], pairs[(1, 2)])).max()))
+            b - kronecker(pairs[5], pairs[0])).max()))
     report("independence-identities", worst_eq <= 1e-9 and order_ok,
            f"100 models, max identity deviation {worst_eq:.2e}")
 

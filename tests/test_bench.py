@@ -19,6 +19,8 @@ from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
                               with_dependence_scaled)
 from tensortree.exceptions import ModelError
 from tensortree.model import LatentTree, TreeParameters, sample
+from tensortree.nj import INFINITE_SENTINEL, additive_distance
+from tensortree.resolvers import PAIR_KEYS
 from tensortree.tensors import nuclear_norm, unfold
 
 from helpers import mean_outcomes, recursive_random_topology
@@ -66,7 +68,7 @@ class TestRandomTopology:
     def test_balanced_beta_shallower_than_skewed(self):
         def ecc(t):
             leaves = t.leaves
-            return max(len(t.path(leaves[0], x)) for x in leaves[1:])
+            return max(t.distance(leaves[0], x) for x in leaves[1:])
 
         wins = sum(ecc(random_topology(16, 0.5, [1, s]))
                    <= ecc(random_topology(16, 0.1, [1, s]))
@@ -285,6 +287,45 @@ class TestHarness:
         with pytest.raises(RuntimeError):
             run_tree_experiment(TreeExperimentConfig(
                 4, 0.5, (2, 2), 3, 0.5, (50,), 1, ("tensor",)))
+
+
+def reference_nj_quartet_relation(tables):
+    """The NJ quartet verdict one table at a time: six ``additive_distance``
+    calls, infinities replaced by the sentinel, and the pairing with the
+    smallest within-pair sum, rounded to 12 decimals (lowest pairing on ties)."""
+    pairs = dict(zip(PAIR_KEYS, tables))
+
+    def dist(i, j):
+        val = additive_distance(pairs[(i, j)])
+        return INFINITE_SENTINEL if math.isinf(val) else val
+
+    scores = [dist(1, 2) + dist(3, 4), dist(1, 3) + dist(2, 4),
+              dist(1, 4) + dist(2, 3)]
+    return QuartetRelation(int(np.argmin(np.round(scores, 12))) + 1)
+
+
+class TestNjQuartet:
+    """The harness's NJ quartet verdict (one ``distance_matrix`` call and
+    ``four_point``) against the per-table reference, on the tables it draws."""
+
+    @pytest.mark.parametrize("k_h, k_g, n, mu, grid, singular", [
+        (2, 3, 10, 0.5, (50, 300, 5000), 0.5),  # at m=50 the sentinel decides most sums
+        (2, 2, 3, 2.0, (30, 100, 1000), 0.0)])
+    def test_harness_matches_reference(self, monkeypatch, k_h, k_g, n, mu, grid, singular):
+        calls = {"pairwise_tables": [], "four_point": []}
+        for name, seen in calls.items():
+            def spy(arg, real=getattr(bench, name), seen=seen):
+                seen.append(real(arg))
+                return seen[-1]
+            monkeypatch.setattr(bench, name, spy)
+        cfg = QuartetExperimentConfig(k_h, k_g, n, mu, grid, 20, ("nj",), seed=7)
+        run_quartet_experiment(cfg)
+        tables, verdicts = calls["pairwise_tables"], calls["four_point"]
+        assert len(tables) == len(verdicts) == 20 * len(grid)
+        assert [reference_nj_quartet_relation(t) for t in tables] == verdicts
+        assert set(verdicts) == set(QuartetRelation)
+        smallest_m = [additive_distance(t) for stack in tables[::len(grid)] for t in stack]
+        assert np.mean(np.isinf(smallest_m)) > singular
 
 
 class TestRecover:

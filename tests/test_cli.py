@@ -244,6 +244,16 @@ class TestDiagnose:
         assert "need at least 4 leaves, got 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cpt_on_a_non_edge_is_data_error(self, tmp_path, capsys):
+        tree = random_tree_model(4, 0.5, 3, 2, 0.5, 2)
+        model = tmp_path / "model.txt"
+        write_model(tree, model)
+        model.write_text(model.read_text() + "cpt 0 1\n1 0 0\n0 1 0\n0 0 1\n")
+        out = tmp_path / "d.csv"
+        assert main(["diagnose", "--model", str(model), "--out", str(out)]) == 3
+        assert "stray cpt for [(0, 1)]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path):
         assert main(["diagnose", "--model", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "d.csv")]) == 3

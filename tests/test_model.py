@@ -379,10 +379,12 @@ class TestPairwiseValidation:
             empirical_pairwise(self.samples(), 1, 1)
 
 
-def assert_stack_matches(samples, i, j):
-    """``empirical_pairwise_stack`` against its reference, one count per pair."""
-    got = empirical_pairwise_stack(samples, i, j)
-    want = np.array([empirical_pairwise(samples, a, b) for a, b in zip(i, j)])
+def assert_stack_matches(samples):
+    """``empirical_pairwise_stack`` against its reference, one count per pair
+    i < j in ``np.triu_indices`` order."""
+    got = empirical_pairwise_stack(samples)
+    want = np.array([empirical_pairwise(samples, a, b)
+                     for a, b in zip(*np.triu_indices(samples.d, 1))])
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -399,37 +401,33 @@ class TestPairwiseStack:
     def test_around_a_block(self, m):
         # d * n = 12 and 60 one-hot entries: blocks of 5 samples.
         s = self.samples(m)
-        i, j = np.nonzero(~np.eye(4, dtype=bool))  # both orders of every pair
         with mock.patch.object(model, "_ONE_HOT_ENTRIES", 60):
-            assert_stack_matches(s, i, j)
+            assert_stack_matches(s)
 
     def test_constant_column_and_unused_states(self):
         rows = np.random.default_rng(1).integers(1, 4, size=(300, 5))
         rows[:, 2] = 4
         s = SampleSet(rows=rows, variable_names=list("abcde"), n_states=7)
-        assert_stack_matches(s, *np.triu_indices(5, 1))
-        assert_stack_matches(s, [2, 4, 2], [0, 2, 1])
+        assert_stack_matches(s)
 
     def test_two_columns(self):
         s = self.samples(50, d=2, n=2, seed=2)
-        assert_stack_matches(s, [0], [1])
-        assert_stack_matches(s, [1, 0], [0, 1])
+        assert_stack_matches(s)
 
     def test_counts_past_float32_exactness(self):
         # 2^24 + 1 equal rows: a float32 sum of ones stops at 2^24.
         m = 2 ** 24 + 1
         s = SampleSet(rows=np.ones((m, 2), dtype=np.uint8), variable_names=["a", "b"],
                       n_states=1)
-        assert empirical_pairwise_stack(s, [0], [1]).tolist() == [[[1.0]]]
+        assert empirical_pairwise_stack(s).tolist() == [[[1.0]]]
 
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(2, 6), n=st.integers(1, 4), extra=st.integers(0, 2),
            m=st.integers(1, 40), block=st.integers(1, 30), seed=st.integers(0, 2 ** 16))
     def test_matches_per_pair_counts(self, d, n, extra, m, block, seed):
         s = self.samples(m, d=d, n=n, n_states=n + extra, seed=seed)
-        i, j = np.nonzero(~np.eye(d, dtype=bool))
         with mock.patch.object(model, "_ONE_HOT_ENTRIES", block * d * (n + extra)):
-            assert_stack_matches(s, i, j)
+            assert_stack_matches(s)
 
 
 class TestSampleCsv:
@@ -591,6 +589,39 @@ class TestTreeStructure:
             assert all(len(t.neighbors(h)) == 3 for h in t.hidden)
 
 
+class TestParameterEdges:
+    """``TreeParameters.validate`` wants one CPT per edge, oriented away from the root."""
+
+    def rebuilt(self, tree, cpts):
+        p = tree.params
+        params = TreeParameters(n=p.n, k=p.k, root=p.root, root_marginal=p.root_marginal,
+                                cpts=cpts)
+        return LatentTree({u: tree.neighbors(u) for u in tree.nodes()}, tree.leaf_names,
+                          params=params)
+
+    def test_missing_cpt(self):
+        tree = random_tree_model(6, 0.5, 3, 2, 0.5, 1)
+        cpts = dict(tree.params.cpts)
+        del cpts[(6, 0)]
+        with pytest.raises(ModelError, match=r"missing cpt for \[\(6, 0\)\], stray cpt for \[\]"):
+            self.rebuilt(tree, cpts)
+
+    def test_cpt_on_a_non_edge(self):
+        tree = random_tree_model(6, 0.5, 3, 2, 0.5, 1)
+        cpts = {**tree.params.cpts, (0, 1): np.full((3, 3), 1 / 3)}
+        with pytest.raises(ModelError, match=r"missing cpt for \[\], stray cpt for \[\(0, 1\)\]"):
+            self.rebuilt(tree, cpts)
+
+    def test_cpt_toward_the_root(self):
+        tree = random_tree_model(6, 0.5, 3, 2, 0.5, 1)
+        cpts = dict(tree.params.cpts)
+        table = cpts.pop((6, 0)).T  # right shape and column-stochastic, wrong way round
+        cpts[(0, 6)] = table / table.sum(axis=0)
+        with pytest.raises(ModelError, match=r"missing cpt for \[\(6, 0\)\], "
+                                             r"stray cpt for \[\(0, 6\)\]"):
+            self.rebuilt(tree, cpts)
+
+
 ORIENTATION_TREES = [("random", d, beta, seed) for d in (4, 5, 9, 33, 200)
                      for beta in (0.1, 0.5) for seed in range(3)]
 ORIENTATION_TREES += [("caterpillar", d, None, None) for d in (4, 5, 60, 300)]
@@ -608,7 +639,7 @@ class TestOrientationMatchesReferences:
         t = orientation_tree(*case)
         rng = np.random.default_rng(t.d)
         for u, v in rng.choice(t.nodes(), size=(100, 2)).tolist():  # may repeat
-            assert t.path(u, v) == dfs_path(t, u, v)
+            assert t.distance(u, v) == len(dfs_path(t, u, v)) - 1
 
     def test_oracle(self, case):
         t = orientation_tree(*case)
@@ -623,7 +654,7 @@ class TestOrientationErrors:
         t = random_topology(6, 0.5, 0)
         for u, v in ((0, 999), (999, 0), (999, 999)):
             with pytest.raises(ModelError):
-                t.path(u, v)
+                t.distance(u, v)
         with pytest.raises(ModelError):
             resolve_oracle(t, (0, 1, 2, 999))
 

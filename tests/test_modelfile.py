@@ -105,6 +105,20 @@ class TestErrors:
             read_model(path)
         assert "missing cpt" in str(err.value)
 
+    @pytest.mark.parametrize("directive", ["leaf", "cpt"])
+    def test_repeated_directive(self, tmp_path, directive):
+        tree = random_tree_model(4, 0.5, 3, 2, 0.5, 2)
+        path = tmp_path / "m.txt"
+        write_model(tree, path)
+        lines = path.read_text().splitlines()
+        last_cpt = max(i for i, line in enumerate(lines) if line.startswith("cpt"))
+        # A known leaf under a new name, or the last cpt block (it ends the file) again.
+        again = {"leaf": ["leaf 0 renamed"], "cpt": lines[last_cpt:]}[directive]
+        path.write_text("\n".join(lines + again) + "\n")
+        with pytest.raises(ParseError, match=f"{directive} .* is declared twice") as err:
+            read_model(path)
+        assert err.value.line == len(lines) + 1
+
     def test_undeclared_node_in_edge(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("leaf 0 a\nleaf 1 b\nedge 0 9\n")

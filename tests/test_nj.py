@@ -13,6 +13,8 @@ from tensortree.bench import (parameterize, random_topology, random_tree_model,
                               recover)
 from tensortree.nj import INFINITE_SENTINEL
 
+from helpers import dfs_path
+
 
 def path_additive_matrix(tree, seed):
     """Distances that sum positive random branch lengths along tree paths."""
@@ -22,7 +24,7 @@ def path_additive_matrix(tree, seed):
     d = len(leaves)
     out = np.zeros((d, d))
     for a, b in itertools.combinations(range(d), 2):
-        path = tree.path(leaves[a], leaves[b])
+        path = dfs_path(tree, leaves[a], leaves[b])
         dist = sum(lengths[frozenset(e)] for e in zip(path, path[1:]))
         out[a, b] = out[b, a] = dist
     return out

@@ -9,8 +9,10 @@ from tensortree.bench import (dependence_limited_model, diagnostics,
                               pairwise_tables, random_quartet_model,
                               random_topology)
 from tensortree.exceptions import ModelError
-from tensortree.resolvers import PAIR_KEYS
+from tensortree.resolvers import four_point
 from tensortree.tensors import kronecker
+
+from helpers import dfs_path
 
 # How the three pairings map onto each other when two variables are swapped.
 _SWAP_23 = {QuartetRelation.PAIR_12_34: QuartetRelation.PAIR_13_24,
@@ -45,8 +47,8 @@ class TestNuclear:
         from dataclasses import replace
         indep = replace(model, joint_hidden=np.outer(ph, pg))
         v = resolve_nuclear(indep.exact_tensor())
-        pairs = pairwise_tables(indep.exact_tensor())
-        expected = np.linalg.norm(kronecker(pairs[(3, 4)], pairs[(1, 2)]))
+        tables = pairwise_tables(indep.exact_tensor())
+        expected = np.linalg.norm(kronecker(tables[5], tables[0]))
         assert v.scores[v.relation - 1] == pytest.approx(expected, abs=1e-9)
 
     def test_label_equivariance(self):
@@ -69,47 +71,40 @@ class TestSpectralK:
         agree = 0
         for seed in range(30):
             model = dependence_limited_model(3, 3, 6, 0.8, [100, seed])
-            pairs = pairwise_tables(model.exact_tensor())
-            vs = resolve_spectral_k(pairs, 3)
+            vs = resolve_spectral_k(pairwise_tables(model.exact_tensor()), 3)
             vn = resolve_nuclear(model.exact_tensor())
             if vn.relation == QuartetRelation.PAIR_12_34:
                 agree += vs.relation == vn.relation
         assert agree >= 28  # population tables, both near-exact
 
     def test_independent_tie(self):
-        t = independent_tensor(3, 2)
-        pairs = {}
-        for i, j in PAIR_KEYS:
-            drop = tuple(a for a in range(4) if a not in (i - 1, j - 1))
-            pairs[(i, j)] = t.values.sum(axis=drop)
-        v = resolve_spectral_k(pairs, 3)
+        v = resolve_spectral_k(pairwise_tables(independent_tensor(3, 2)), 3)
         assert v.tie
 
     def test_rank_one_tables_k1(self):
         rng = np.random.default_rng(3)
-        pairs = {}
-        for i, j in PAIR_KEYS:
-            u, w = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-            pairs[(i, j)] = np.outer(u, w)
-        v = resolve_spectral_k(pairs, 1)
+        tables = np.array([np.outer(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
+                           for _ in range(6)])
+        v = resolve_spectral_k(tables, 1)
         # Rank-1 spectrum: sigma_1 equals the Frobenius norm, so each score is
-        # the product of the two within-group Frobenius norms.
-        expected = [
-            np.linalg.norm(pairs[(1, 2)]) * np.linalg.norm(pairs[(3, 4)]),
-            np.linalg.norm(pairs[(1, 3)]) * np.linalg.norm(pairs[(2, 4)]),
-            np.linalg.norm(pairs[(1, 4)]) * np.linalg.norm(pairs[(2, 3)]),
-        ]
+        # the product of the two within-group Frobenius norms; rows 0..5 hold
+        # the pairs 12, 13, 14, 23, 24, 34.
+        norm = [np.linalg.norm(t) for t in tables]
+        expected = [norm[0] * norm[5], norm[1] * norm[4], norm[2] * norm[3]]
         assert v.scores == pytest.approx(expected, abs=1e-12)
 
     def test_k_out_of_range(self):
-        pairs = {key: np.full((2, 2), 0.25) for key in PAIR_KEYS}
-        with pytest.raises(ValueError):
-            resolve_spectral_k(pairs, 3)
+        with pytest.raises(ValueError, match="k must lie in 1..2"):
+            resolve_spectral_k(np.full((6, 2, 2), 0.25), 3)
 
-    def test_missing_pair_rejected(self):
-        pairs = {key: np.full((2, 2), 0.25) for key in PAIR_KEYS[:-1]}
-        with pytest.raises(ValueError):
-            resolve_spectral_k(pairs, 2)
+    @pytest.mark.parametrize("tables", [
+        np.full((5, 2, 2), 0.25), np.full((7, 2, 2), 0.25), np.full((6, 2, 3), 0.25),
+        np.full((6, 4), 0.25), np.full((2, 2), 0.25),
+        dict(enumerate(np.full((6, 2, 2), 0.25)))],
+        ids=["missing-table", "extra-table", "rectangular", "2-d", "one-table", "dict"])
+    def test_stack_shape_rejected(self, tables):
+        with pytest.raises(ValueError, match=r"need a \(6, n, n\) stack"):
+            resolve_spectral_k(tables, 1)
 
 
 class TestOracle:
@@ -134,6 +129,29 @@ class TestOracle:
         for q in itertools.combinations(tree.leaves, 4):
             rel = resolve_oracle(tree, q)
             (g1, g2) = rel.groups
-            p1 = set(tree.path(q[g1[0] - 1], q[g1[1] - 1]))
-            p2 = set(tree.path(q[g2[0] - 1], q[g2[1] - 1]))
+            p1 = set(dfs_path(tree, q[g1[0] - 1], q[g1[1] - 1]))
+            p2 = set(dfs_path(tree, q[g2[0] - 1], q[g2[1] - 1]))
             assert not (p1 & p2)
+
+
+class TestFourPoint:
+    def test_smallest_sum_wins(self):
+        dist = np.array([[0, 3, 2, 5], [3, 0, 5, 2], [2, 5, 0, 3], [5, 2, 3, 0]])
+        assert four_point(dist) == QuartetRelation.PAIR_13_24  # 2 + 2 against 6 and 10
+
+    @pytest.mark.parametrize("sums, winner", [
+        ((1.0, 1.0, 1.0), QuartetRelation.PAIR_12_34),
+        ((2.0, 1.0, 1.0), QuartetRelation.PAIR_13_24),
+        ((2.0, 3.0, 2.0), QuartetRelation.PAIR_12_34),
+        # Sums equal to 12 decimals tie as well.
+        ((1.0, 1.0 - 1e-14, 2.0), QuartetRelation.PAIR_12_34),
+        ((3e12, 2e12, 2e12), QuartetRelation.PAIR_13_24)])
+    def test_tied_sums_go_to_the_lowest_pairing(self, sums, winner):
+        # Each pairing's sum sits on its first pair; its second pair is 0.
+        dist = np.zeros((4, 4))
+        dist[0, 1], dist[0, 2], dist[0, 3] = sums
+        assert four_point(dist + dist.T) == winner
+
+    def test_reads_only_entries_above_the_diagonal(self):
+        upper = np.triu(np.arange(16.0).reshape(4, 4), 1)
+        assert four_point(upper) == four_point(upper + upper.T)
