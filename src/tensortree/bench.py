@@ -28,7 +28,7 @@ from .resolvers import (PAIR_KEYS, four_point, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
 # Unused here, but perfbench/tracing.py patches this name on this module.
 from .nj import additive_distance  # noqa: F401
-from .tensors import JointTensor4, QuartetRelation, kronecker, nuclear_norm
+from .tensors import JointTensor4, QuartetRelation, kronecker, nuclear_norm, unfold
 
 # ---------------------------------------------------------------------------
 # CPT generation
@@ -277,12 +277,14 @@ class RecoveryDiagnostics:
 
 def _quartet_gaps(tensor: JointTensor4) -> tuple[float, float]:
     """(theta, alpha) of a tensor whose true pairing is 12|34: the surrogate gap,
-    from its pairwise tables 12 and 34 only, and the nuclear-norm score gap."""
+    from its pairwise tables 12 and 34 only, and the nuclear-norm score gap.
+    alpha reads SVD scores: resolve_nuclear's Gram scores may differ in the
+    last digits that diagnose prints."""
     tables = pairwise_tables(tensor)
     p12, p34 = tables[0], tables[5]
     correct = float(np.linalg.norm(kronecker(p34, p12)))
     theta = min(nuclear_norm(kronecker(p34, p12)), nuclear_norm(kronecker(p34.T, p12))) - correct
-    right, *wrong = resolve_nuclear(tensor).scores
+    right, *wrong = (nuclear_norm(unfold(tensor, rel)) for rel in QuartetRelation)
     return theta, min(wrong) - right
 
 

@@ -12,9 +12,9 @@ Format (one directive per line, ``#`` starts a comment):
                               one probability per parent state (columns are
                               conditioned on the parent state)
 
-Directives may come in any order, but a leaf id or a cpt edge only once; a cpt
-block ends at the first line that does not start with a number.  Topology-only
-files omit root/marginal/cpt.
+Directives may come in any order, but states, root, marginal, a leaf id and a
+cpt edge only once; a cpt block ends at the first line that does not start
+with a number.  Topology-only files omit root/marginal/cpt.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ def read_model(path) -> LatentTree:
     root_marginal = None
     cpts: dict[tuple[int, int], list] = {}
     cpt_rows = None  # rows of the cpt block being read, if any
+    seen: dict[str, int] = {}  # line of each single directive read so far
 
     def fail(msg, lineno):
         raise ParseError(msg, line=lineno)
@@ -66,6 +67,10 @@ def read_model(path) -> LatentTree:
             continue
         cpt_rows = None
         keyword, args = fields[0], fields[1:]
+        if keyword in ("states", "root", "marginal"):
+            if keyword in seen:
+                fail(f"{keyword} is declared twice, first on line {seen[keyword]}", lineno)
+            seen[keyword] = lineno
         if keyword == "states":
             if len(args) != 2:
                 fail("states needs two integers: <n> <k>", lineno)

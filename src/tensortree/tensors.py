@@ -97,24 +97,3 @@ def nuclear_norm(matrix: np.ndarray) -> float:
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, (m1*m2) x (n1*n2)."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product of two matrices with equal column counts."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column counts must match, got shapes {a.shape} and {b.shape}")
-    # (a_col x) kron (b_col): index i*rows_b + j, i.e. b runs fastest.
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
-
-
-def numerical_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Number of singular values above tol times the largest one."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    sv = spectral(matrix)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))

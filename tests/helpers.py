@@ -1,6 +1,7 @@
 """Reference code shared by the tests: plain graph searches written apart from
 the one orientation ``LatentTree`` keeps, a caterpillar tree, bench means that
-refuse NaN outcomes, and ancestral sampling that keeps every node's states."""
+refuse NaN outcomes, ancestral sampling that keeps every node's states, and
+the Khatri-Rao product and numerical rank of the acceptance suite."""
 
 import math
 
@@ -35,6 +36,17 @@ def component(tree, start, blocked):
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def khatri_rao(a, b):
+    """Column-wise Kronecker product: column c is np.kron(a[:, c], b[:, c])."""
+    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+
+
+def numerical_rank(matrix, tol=1e-8):
+    """Number of singular values above tol times the largest one."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(sv > tol * sv[0])) if sv[0] > 0 else 0
 
 
 def dfs_path(tree, u, v):

@@ -20,10 +20,9 @@ from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
 from tensortree.cli import main as cli_main
 from tensortree.metrics import bipartitions
 from tensortree.model import sample
-from tensortree.tensors import (khatri_rao, kronecker, nuclear_norm,
-                                numerical_rank, unfold)
+from tensortree.tensors import kronecker, nuclear_norm, unfold
 
-from helpers import mean_outcomes
+from helpers import khatri_rao, mean_outcomes, numerical_rank
 
 
 def report(label, ok, detail):

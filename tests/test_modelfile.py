@@ -119,6 +119,21 @@ class TestErrors:
             read_model(path)
         assert err.value.line == len(lines) + 1
 
+    @pytest.mark.parametrize("again", ["marginal 0.9 0.1", "root 4", "states 3 2"])
+    def test_repeated_single_directive(self, tmp_path, again):
+        # A later line must not silently replace an earlier one.
+        tree = random_tree_model(4, 0.5, 3, 2, 0.5, 2)
+        path = tmp_path / "m.txt"
+        write_model(tree, path)
+        lines = path.read_text().splitlines()
+        directive = again.split()[0]
+        first = 1 + next(i for i, line in enumerate(lines) if line.startswith(directive))
+        path.write_text("\n".join(lines + [again]) + "\n")
+        with pytest.raises(ParseError, match=f"{directive} is declared twice, "
+                                             f"first on line {first}") as err:
+            read_model(path)
+        assert err.value.line == len(lines) + 1
+
     def test_undeclared_node_in_edge(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("leaf 0 a\nleaf 1 b\nedge 0 9\n")

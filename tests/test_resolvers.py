@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from tensortree import (JointTensor4, QuartetRelation, quartet_tree,
-                        resolve_nuclear, resolve_oracle, resolve_spectral_k)
+                        resolve_nuclear, resolve_oracle, resolve_spectral_k,
+                        resolvers)
 from tensortree.bench import (dependence_limited_model, diagnostics,
                               pairwise_tables, random_quartet_model,
                               random_topology)
 from tensortree.exceptions import ModelError
-from tensortree.resolvers import four_point
-from tensortree.tensors import kronecker
+from tensortree.resolvers import _decide, four_point, gram_scores
+from tensortree.tensors import kronecker, nuclear_norm, spectral, unfold
 
 from helpers import dfs_path
 
@@ -64,6 +65,106 @@ class TestNuclear:
         v = resolve_nuclear(model.exact_tensor())
         diag = diagnostics(model)
         assert v.margin == pytest.approx(diag.alpha_min, abs=1e-10)
+
+
+def svd_verdict(tensor):
+    """The nuclear test scored by SVD alone."""
+    return _decide([nuclear_norm(unfold(tensor, rel)) for rel in QuartetRelation],
+                   minimize=True)
+
+
+def count_svd_calls(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return spectral(matrix)
+    monkeypatch.setattr(resolvers, "spectral", counted)
+    return calls
+
+
+class TestGramScores:
+    def test_verdicts_and_scores_match_the_svd(self):
+        # 1,000 empirical tensors: every verdict and tie flag equals the SVD
+        # path's, and every Gram score lies within the bound of its SVD score.
+        fallbacks = 0
+        for n in (2, 3, 6, 10):
+            for m in (5, 50, 200, 2000, 50000):
+                for seed in range(50):
+                    rng = np.random.default_rng([n, m, seed])
+                    k = int(rng.integers(2, min(n, 4) + 1))
+                    model = random_quartet_model(k, k, n, rng.uniform(0.2, 1.0), rng)
+                    p = model.exact_tensor().values.ravel()
+                    t = JointTensor4(rng.multinomial(m, p / p.sum()).reshape((n,) * 4) / m)
+                    gram, bound = gram_scores(t)
+                    ref = svd_verdict(t)
+                    assert np.all(np.abs(np.subtract(gram, ref.scores)) <= bound)
+                    v = resolve_nuclear(t)
+                    assert (v.relation, v.tie) == (ref.relation, ref.tie), (n, m, seed)
+                    best, second = sorted(gram)[:2]
+                    fallbacks += second - best <= 2 * bound
+        assert 0 < fallbacks < 100  # the ties at m=5 fall back, little else
+
+    def test_zeroed_singular_values_stay_within_the_bound(self):
+        # The 12|34 unfolding is a positive rank-1 matrix plus eight singular
+        # values of 0.7 * sqrt(delta), whose eigenvalues fall under delta and
+        # are zeroed: the Gram score misses them, by a sizable share of the bound.
+        n, r = 3, 9
+        rng = np.random.default_rng(5)
+        u, v = rng.dirichlet(np.ones(r)), rng.dirichlet(np.ones(r))
+        delta = 4 * r * np.finfo(float).eps * np.sum(np.outer(u, v) ** 2)
+        q1 = np.linalg.qr(np.column_stack([u, rng.normal(size=(r, r - 1))]))[0][:, 1:]
+        q2 = np.linalg.qr(np.column_stack([v, rng.normal(size=(r, r - 1))]))[0][:, 1:]
+        a = np.outer(u, v) + 0.7 * np.sqrt(delta) * q1 @ q2.T
+        t = JointTensor4((a / a.sum()).reshape((n,) * 4, order="F"))
+        (gram, *_), bound = gram_scores(t)
+        missed = nuclear_norm(unfold(t, QuartetRelation.PAIR_12_34)) - gram
+        assert 0.25 * bound < missed <= bound
+
+    def test_independent_tie_falls_back(self, monkeypatch):
+        calls = count_svd_calls(monkeypatch)
+        v = resolve_nuclear(independent_tensor(3, 0))
+        assert v.tie and v.relation == QuartetRelation.PAIR_12_34
+        assert calls == [(9, 9)] * 3
+
+    def test_swap_symmetric_tie_falls_back(self, monkeypatch):
+        # Symmetric under swapping variables 3 and 4, so the 13|24 and 14|23
+        # unfoldings are the same matrix, and they score below 12|34.
+        v = random_quartet_model(2, 2, 3, 0.8, 0).exact_tensor().values.transpose(0, 2, 1, 3)
+        t = JointTensor4((v + v.transpose(0, 1, 3, 2)) / 2)
+        calls = count_svd_calls(monkeypatch)
+        verdict = resolve_nuclear(t)
+        assert verdict.tie and verdict.relation == QuartetRelation.PAIR_13_24
+        assert len(calls) == 3
+        assert verdict == svd_verdict(t)
+
+    def test_clear_verdict_runs_no_svd(self, monkeypatch):
+        t = dependence_limited_model(2, 3, 5, 0.7, 0).exact_tensor()
+        calls = count_svd_calls(monkeypatch)
+        assert resolve_nuclear(t).relation == QuartetRelation.PAIR_12_34
+        assert calls == []
+
+    def test_unobserved_states_score_as_the_full_unfolding(self):
+        # State 4 of variable 1 and state 3 of variable 3 never occur.  Variable
+        # 1 indexes the rows of every unfolding, so each has all-zero rows, and
+        # 12|34 all-zero columns too; dropping them changes no score.
+        rng = np.random.default_rng(11)
+        vals = np.zeros((4, 4, 4, 4))
+        vals[:3, :, [0, 1, 3], :] = rng.dirichlet(np.ones(3 * 4 * 3 * 4)).reshape(3, 4, 3, 4)
+        t = JointTensor4(vals)
+        assert not any(unfold(t, rel).any(axis=1).all() for rel in QuartetRelation)
+        gram, bound = gram_scores(t)
+        full = [nuclear_norm(unfold(t, rel)) for rel in QuartetRelation]
+        assert gram == pytest.approx(full, abs=1e-12)
+        assert np.all(np.abs(np.subtract(gram, full)) <= bound)
+
+    def test_alpha_min_is_the_svd_score_gap(self):
+        # diagnose prints alpha_min to 12 digits, so it reads SVD scores.
+        for seed in range(5):
+            model = dependence_limited_model(2, 3, 5, 0.6, [7, seed])
+            right, *wrong = svd_verdict(model.exact_tensor()).scores
+            assert diagnostics(model).alpha_min == pytest.approx(min(wrong) - right,
+                                                                 abs=1e-12)
 
 
 class TestSpectralK:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortree import (JointTensor4, QuartetRelation, khatri_rao, kronecker,
-                        nuclear_norm, numerical_rank, spectral, unfold)
+from tensortree import (JointTensor4, QuartetRelation, kronecker, nuclear_norm,
+                        spectral, unfold)
 from tensortree.exceptions import NumericalError
 
 
@@ -114,7 +114,6 @@ class TestProperties:
         assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
         assert nuclear_norm(m) == pytest.approx(sv.sum(), rel=1e-12, abs=1e-12)
         assert (sv ** 2).sum() == pytest.approx(np.linalg.norm(m) ** 2, rel=1e-9, abs=1e-9)
-        assert numerical_rank(m) <= min(m.shape)
 
     @settings(max_examples=50, deadline=None)
     @given(m=arrays(float, (3, 4), elements=st.floats(-1.0, 1.0)),
@@ -135,29 +134,6 @@ class TestProducts:
         m, n = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         assert np.linalg.norm(kronecker(m, n)) == pytest.approx(
             np.linalg.norm(m) * np.linalg.norm(n))
-
-    def test_khatri_rao_definition(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        out = khatri_rao(a, b)
-        for col in range(2):
-            assert np.allclose(out[:, col], np.kron(a[:, col], b[:, col]))
-
-    def test_khatri_rao_column_mismatch(self):
-        with pytest.raises(ValueError):
-            khatri_rao(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestNumericalRank:
-    def test_identity(self):
-        assert numerical_rank(np.eye(9)) == 9
-
-    def test_rank_one(self):
-        u, v = np.arange(1, 4.0), np.arange(2, 5.0)
-        assert numerical_rank(np.outer(u, v)) == 1
-
-    def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((3, 3))) == 0
 
 
 class TestJointTensor4:
