@@ -2,11 +2,12 @@
 
 The builder starts from a single quartet and inserts the remaining leaves one
 at a time into a mutable adjacency.  The candidate edges for a new leaf form a
-connected region; one pass over it counts the region edges below each node,
+connected region; one pass over it counts the region nodes below each node,
 which gives every node's three direction counts.  The node splitting them most
-evenly is tested for the direction the new leaf belongs to, and the region
-shrinks to that direction.  Each test removes at least half of the candidates,
-so an insertion costs O(log d) resolver calls.
+evenly, by the centroid rule that also picks the Newick root, is tested for the
+direction the new leaf belongs to, and the region shrinks to that direction.
+Each test removes at least half of the candidates, so an insertion costs
+O(log d) resolver calls.
 """
 
 from __future__ import annotations
@@ -42,18 +43,30 @@ def _call_resolver(resolver, quartet, trace: BuildTrace) -> QuartetRelation:
     return rel
 
 
+def _centroid(order: list, parent: dict, below: dict, candidates) -> int:
+    """The candidate whose heaviest branch weighs least, ties to the lowest id.
+
+    ``order`` lists a rooted tree top-down (each node after its parent) and
+    ``parent`` maps every other node to its parent.  ``below`` holds each node's
+    own weight and is summed in place into subtree weights, so a node's branches
+    are its children's subtrees and the rest of the tree."""
+    heavy = dict.fromkeys(order, 0)  # heaviest child subtree
+    for u in reversed(order[1:]):
+        below[parent[u]] += below[u]
+        heavy[parent[u]] = max(heavy[parent[u]], below[u])
+    total = below[order[0]]
+    return min(candidates, key=lambda h: (max(heavy[h], total - below[h]), h))
+
+
 def choose_balanced_root(tree: LatentTree) -> int:
     """Hidden node minimizing the largest leaf count among its three branches;
     ties broken by lowest node id."""
     if not tree.hidden:
         raise ValueError("tree has no hidden node")
-    # Rooted at a leaf, a hidden node's branches are its children's subtrees and the rest.
-    below = {u: int(tree.is_leaf(u)) for u in tree.nodes()}  # leaves in each subtree
-    heavy = dict.fromkeys(below, 0)  # most leaves under one child
-    for parent, child in reversed(tree.bfs_edges(tree.leaves[0])):
-        below[parent] += below[child]
-        heavy[parent] = max(heavy[parent], below[child])
-    return min(tree.hidden, key=lambda h: (max(heavy[h], tree.d - below[h]), h))
+    edges = tree.bfs_edges(tree.leaves[0])
+    order = [tree.leaves[0]] + [child for _, child in edges]
+    below = {u: int(tree.is_leaf(u)) for u in order}
+    return _centroid(order, {child: p for p, child in edges}, below, tree.hidden)
 
 
 def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
@@ -82,16 +95,10 @@ def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
     region = order
     depth = 0
     while len(region) > 2:
-        n_edges = len(region) - 1
-        below = dict.fromkeys(region, 0)  # region edges under each node
-        heavy = dict.fromkeys(region, 0)  # most candidates toward one child
-        for u in reversed(region[1:]):
-            below[parent[u]] += below[u] + 1
-            heavy[parent[u]] = max(heavy[parent[u]], below[u] + 1)
-        # Toward the parent lie n_edges - below[h] candidates, outside the
-        # region none.  Take the most even split, ties to the lowest id; a node
-        # with one region edge scores n_edges, which an inner node beats.
-        best = min(region, key=lambda h: (max(heavy[h], n_edges - below[h]), h))
+        # A direction of a region node holds as many candidate edges as region
+        # nodes, so counting nodes finds the most even split of the candidates.
+        # A node with one region edge scores all of them; an inner node beats it.
+        best = _centroid(region, parent, dict.fromkeys(region, 1), region)
         reps = []
         for v in adj[best]:
             dir_leaves = sorted(leaves.intersection(side(best, v)))

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from itertools import groupby
 
 from . import __version__
 from .bench import (MAX_TABLE_BINS, QuartetExperimentConfig, TreeExperimentConfig,
@@ -220,31 +221,26 @@ def cmd_diagnose(args) -> int:
         raise Refusal(EXIT_DATA, "model file has no parameters to diagnose")
     t0 = time.perf_counter()
     diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
-    report = [
-        f"theta_min            {diag.theta_min:.12g}",
-        f"gamma_min            {diag.gamma_min:.12g}",
-        f"alpha_min            {diag.alpha_min:.12g}",
-        f"delta                {diag.delta:.12g}",
-        f"margins_preserved_ok {diag.margins_preserved_ok}",
-        f"edge_bound_ok        {diag.edge_bound_ok}",
-        f"combined_bound_ok    {diag.combined_bound_ok}",
-    ]
-    rows = [("theta_min", diag.theta_min), ("gamma_min", diag.gamma_min),
-            ("alpha_min", diag.alpha_min), ("delta", diag.delta),
-            ("margins_preserved_ok", int(diag.margins_preserved_ok)),
-            ("edge_bound_ok", int(diag.edge_bound_ok)),
-            ("combined_bound_ok", int(diag.combined_bound_ok))]
+    fields = [("theta_min", diag.theta_min), ("gamma_min", diag.gamma_min),
+              ("alpha_min", diag.alpha_min), ("delta", diag.delta),
+              ("margins_preserved_ok", diag.margins_preserved_ok),
+              ("edge_bound_ok", diag.edge_bound_ok),
+              ("combined_bound_ok", diag.combined_bound_ok)]
     for m in args.samples:
-        qb = diag.quartet_success_bound(m)
-        tb = diag.tree_success_bound(m)
-        report.append(f"quartet_success_bound(m={m}) {qb:.12g}")
-        report.append(f"tree_success_bound(m={m})    {tb:.12g}")
-        rows.append((f"quartet_success_bound_m{m}", qb))
-        rows.append((f"tree_success_bound_m{m}", tb))
+        fields += [(f"quartet_success_bound(m={m})", diag.quartet_success_bound(m)),
+                   (f"tree_success_bound(m={m})", diag.tree_success_bound(m))]
+    report, rows = [], ["quantity,value"]
+    # The report lines up the values of each run of fields with one "(m=...)" suffix.
+    for _, run in groupby(fields, key=lambda field: field[0].partition("(")[2]):
+        run = list(run)
+        width = max(len(name) for name, _ in run)
+        for name, value in run:
+            shown = f"{value:.12g}" if isinstance(value, float) else value
+            report.append(f"{name:{width}} {shown}")
+            rows.append(f"{name.replace('(m=', '_m').rstrip(')')},"
+                        f"{shown if isinstance(value, float) else int(value)}")
     print("\n".join(report))
-    text = "quantity,value\n" + "".join(
-        f"{key},{val:.12g}\n" if isinstance(val, float) else f"{key},{val}\n"
-        for key, val in rows)
+    text = "\n".join(rows) + "\n"
     return _write_outputs(args, text, t0)
 
 

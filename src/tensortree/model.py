@@ -287,7 +287,7 @@ class SampleSet:
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
         """numpy parses chunks of data lines; a line loop reads on from one it refuses."""
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not a name
             header = fh.readline().strip()
             if not header:
                 raise ParseError("empty sample file", line=1)
@@ -406,4 +406,5 @@ def empirical_pairwise_stack(samples: SampleSet) -> np.ndarray:
         x = x.reshape(d * n, -1).astype(np.float32)
         counts += x @ x.T
     i, j = np.triu_indices(d, 1)
-    return np.divide(counts.reshape(d, n, d, n)[i, :, j, :], m, dtype=np.float64)
+    counts = counts.reshape(d, n, d, n)[i, :, j, :]  # frees the (d*n)^2 matrix first
+    return np.divide(counts, m, dtype=np.float64)

@@ -27,7 +27,7 @@ from .model import LatentTree, TreeParameters
 
 def _tokens(path):
     """Yield (lineno, fields) for nonempty, non-comment lines."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not a directive
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if line:

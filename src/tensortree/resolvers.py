@@ -108,15 +108,16 @@ def _top_k_product(table: np.ndarray, k: int) -> float:
 def resolve_spectral_k(tables, k: int) -> QuartetVerdict:
     """Pick the pairing maximizing the product of the top-k singular values of
     its two within-group tables.  ``tables`` is the (6, n, n) stack of pairwise
-    tables in ``PAIR_KEYS`` order, so pairing r joins rows r and 5 - r."""
+    tables in ``PAIR_KEYS`` order."""
     tables = np.asarray(tables)
     if tables.ndim != 3 or tables.shape[0] != 6 or tables.shape[1] != tables.shape[2]:
         raise ValueError(f"need a (6, n, n) stack of pairwise tables, got {tables.shape}")
     n = tables.shape[1]
     if k < 1 or k > n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    scores = [_top_k_product(tables[r], k) * _top_k_product(tables[5 - r], k)
-              for r in range(3)]
+    scores = [_top_k_product(tables[PAIR_KEYS.index(p)], k)
+              * _top_k_product(tables[PAIR_KEYS.index(q)], k)
+              for p, q in (rel.groups for rel in QuartetRelation)]
     return _decide(scores, minimize=False)
 
 
@@ -124,7 +125,8 @@ def four_point(dist) -> QuartetRelation:
     """The pairing whose two within-pair distances are smallest in sum, read
     above the diagonal of a 4 x 4 distance matrix (the four-point condition).
     Sums are rounded to 12 decimals; ties go to the lowest pairing."""
-    scores = [dist[0][1] + dist[2][3], dist[0][2] + dist[1][3], dist[0][3] + dist[1][2]]
+    scores = [dist[a - 1][b - 1] + dist[c - 1][e - 1]
+              for (a, b), (c, e) in (rel.groups for rel in QuartetRelation)]
     return QuartetRelation(int(np.argmin(np.round(scores, 12))) + 1)
 
 

@@ -25,20 +25,9 @@ class QuartetRelation(IntEnum):
 
     @property
     def groups(self):
-        """The two index pairs (1-based variable positions) of this pairing."""
-        return {
-            QuartetRelation.PAIR_12_34: ((1, 2), (3, 4)),
-            QuartetRelation.PAIR_13_24: ((1, 3), (2, 4)),
-            QuartetRelation.PAIR_14_23: ((1, 4), (2, 3)),
-        }[self]
-
-
-# Axis permutation bringing (row-pair, column-pair) first for each grouping.
-_UNFOLD_AXES = {
-    QuartetRelation.PAIR_12_34: (0, 1, 2, 3),
-    QuartetRelation.PAIR_13_24: (0, 2, 1, 3),
-    QuartetRelation.PAIR_14_23: (0, 3, 1, 2),
-}
+        """The two index pairs (1-based variable positions) of this pairing: the one
+        table of pairings, which unfoldings, scores and tests all read."""
+        return (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))[self - 1]
 
 
 @dataclass(frozen=True)
@@ -73,7 +62,7 @@ def unfold(tensor: JointTensor4, grouping: QuartetRelation) -> np.ndarray:
     fastest), columns those of the second pair.
     """
     n = tensor.n
-    axes = _UNFOLD_AXES[QuartetRelation(grouping)]
+    axes = [v - 1 for pair in QuartetRelation(grouping).groups for v in pair]
     return tensor.values.transpose(axes).reshape(n * n, n * n, order="F")
 
 

@@ -10,6 +10,7 @@ from tensortree.bench import diagnostics, random_tree_model
 from tensortree.cli import main
 from tensortree.exceptions import ModelError, NumericalError, ParseError
 from tensortree.model import sample
+from tensortree.modelfile import read_model
 
 
 def read_rows(path):
@@ -114,6 +115,18 @@ class TestBuild:
                      "--out", str(out)]) == 0
         assert from_newick(out.read_text()).d == 8
 
+    def test_byte_order_mark_is_not_part_of_a_name(self, fixture_data, tmp_path):
+        _, csv = fixture_data
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes())
+        newick = []
+        for path in (csv, marked):
+            out = tmp_path / f"{path.name}.nwk"
+            assert main(["build", "--input", str(path), "--method", "nj",
+                         "--out", str(out)]) == 0
+            newick.append(out.read_text())
+        assert "\ufeff" not in newick[1] and newick[0] == newick[1]
+
     def test_too_few_variables(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("a,b,c\n1,1,1\n2,2,2\n")
@@ -204,6 +217,52 @@ class TestDiagnose:
                     out.read_text().strip().splitlines()[1:])
         assert float(rows["quartet_success_bound_m1000"]) == pytest.approx(
             expected, abs=1e-9)
+
+    def test_report_and_csv_layout(self, model_file, tmp_path, capsys):
+        d = diagnostics(read_model(model_file))
+        assert d.margins_preserved_ok and not d.edge_bound_ok  # both booleans shown
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--model", str(model_file), "--samples", "100,5000",
+                     "--out", str(out)]) == 0
+        q = {m: f"{d.quartet_success_bound(m):.12g}" for m in (100, 5000)}
+        t = {m: f"{d.tree_success_bound(m):.12g}" for m in (100, 5000)}
+        # The seven diagnostics share one value column, each --samples value's two
+        # bounds another; booleans read True/False here and 1/0 in the CSV.
+        assert capsys.readouterr().out.splitlines() == [
+            f"theta_min            {d.theta_min:.12g}",
+            f"gamma_min            {d.gamma_min:.12g}",
+            f"alpha_min            {d.alpha_min:.12g}",
+            f"delta                {d.delta:.12g}",
+            "margins_preserved_ok True",
+            "edge_bound_ok        False",
+            "combined_bound_ok    False",
+            f"quartet_success_bound(m=100) {q[100]}",
+            f"tree_success_bound(m=100)    {t[100]}",
+            f"quartet_success_bound(m=5000) {q[5000]}",
+            f"tree_success_bound(m=5000)    {t[5000]}"]
+        assert out.read_text().splitlines() == [
+            "quantity,value",
+            f"theta_min,{d.theta_min:.12g}",
+            f"gamma_min,{d.gamma_min:.12g}",
+            f"alpha_min,{d.alpha_min:.12g}",
+            f"delta,{d.delta:.12g}",
+            "margins_preserved_ok,1",
+            "edge_bound_ok,0",
+            "combined_bound_ok,0",
+            f"quartet_success_bound_m100,{q[100]}",
+            f"tree_success_bound_m100,{t[100]}",
+            f"quartet_success_bound_m5000,{q[5000]}",
+            f"tree_success_bound_m5000,{t[5000]}"]
+
+    def test_byte_order_mark_model_file(self, model_file, tmp_path, capsys):
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + model_file.read_bytes())
+        runs = []
+        for path in (model_file, marked):
+            out = tmp_path / f"{path.name}.csv"
+            assert main(["diagnose", "--model", str(path), "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_text()))
+        assert runs[0] == runs[1]
 
     def test_independent_edge_reports_zero_delta(self, tmp_path, capsys):
         tree = random_tree_model(4, 0.5, 3, 2, 0.0, 3)

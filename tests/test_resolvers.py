@@ -208,6 +208,44 @@ class TestSpectralK:
             resolve_spectral_k(tables, 1)
 
 
+def reference_spectral_k(tables, k):
+    """resolve_spectral_k as written before it read QuartetRelation.groups:
+    pairing r joins stack rows r and 5 - r."""
+    top = resolvers._top_k_product
+    return _decide([top(tables[r], k) * top(tables[5 - r], k) for r in range(3)],
+                   minimize=False)
+
+
+def reference_four_point(dist):
+    """four_point as written before it read QuartetRelation.groups."""
+    scores = [dist[0][1] + dist[2][3], dist[0][2] + dist[1][3], dist[0][3] + dist[1][2]]
+    return QuartetRelation(int(np.argmin(np.round(scores, 12))) + 1)
+
+
+class TestMatchesReferencePairings:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spectral_k(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        random = rng.dirichlet(np.ones(n * n), size=6).reshape(6, n, n)
+        # Two distinct tables, so that products tie exactly, and one rank-one table
+        # repeated, so that every pairing ties.
+        two = random[rng.integers(0, 2, size=6)]
+        one = np.repeat(np.outer(*rng.dirichlet(np.ones(n), size=2))[None], 6, axis=0)
+        for tables in (random, two, one):
+            for k in range(1, n + 1):
+                assert resolve_spectral_k(tables, k) == reference_spectral_k(tables, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_four_point(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            # Small integers tie often; floats rarely.
+            dist = rng.integers(0, 3, (4, 4)) if rng.random() < 0.5 else rng.random((4, 4))
+            assert four_point(dist) == reference_four_point(dist)
+            assert four_point(dist.tolist()) == reference_four_point(dist.tolist())
+
+
 class TestOracle:
     def test_four_leaf_by_construction(self):
         t = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)

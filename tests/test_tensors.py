@@ -57,6 +57,26 @@ class TestUnfold:
         assert np.array_equal(unfold(t, QuartetRelation.PAIR_13_24),
                               unfold(swapped, QuartetRelation.PAIR_12_34))
 
+    # The axis table unfold kept before it read QuartetRelation.groups.
+    REFERENCE_AXES = {
+        QuartetRelation.PAIR_12_34: (0, 1, 2, 3),
+        QuartetRelation.PAIR_13_24: (0, 2, 1, 3),
+        QuartetRelation.PAIR_14_23: (0, 3, 1, 2),
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_axis_table(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        # Random entries, and entries drawn from two values, so most of them tie.
+        for vals in (rng.random((n,) * 4), rng.integers(1, 3, (n,) * 4).astype(float)):
+            t = JointTensor4(vals / vals.sum())
+            for rel in QuartetRelation:
+                expected = t.values.transpose(self.REFERENCE_AXES[rel]).reshape(
+                    n * n, n * n, order="F")
+                got = unfold(t, rel)
+                assert np.array_equal(got, expected) and got.strides == expected.strides
+
 
 
 class TestSpectral:
