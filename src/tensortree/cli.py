@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -73,6 +74,17 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+def _distinct(parse_list):
+    """``parse_list`` refusing a repeated entry, which would write the same rows twice."""
+    def parse(text: str) -> list:
+        values = parse_list(text)
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise argparse.ArgumentTypeError(f"repeated entry {repeated[0]} in {text!r}")
+        return values
+    return parse
+
+
 def _read(load, path):
     """``load(path)``; a file that cannot be opened or decoded is a data error."""
     try:
@@ -81,8 +93,8 @@ def _read(load, path):
         raise Refusal(EXIT_DATA, f"cannot read {path}: {exc}") from None
 
 
-def _write_outputs(args, text: str, t0: float) -> int:
-    """Write ``text`` to --out, then its manifest sidecar."""
+def _write_outputs(args, text: str, t0: float, **extra) -> int:
+    """Write ``text`` to --out, then its manifest sidecar with ``extra`` fields."""
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -92,6 +104,7 @@ def _write_outputs(args, text: str, t0: float) -> int:
             "seed": args.seed,
             "version": __version__,
             "elapsed_seconds": round(time.perf_counter() - t0, 3),
+            **extra,
         }
         with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -123,10 +136,10 @@ def make_parser() -> argparse.ArgumentParser:
     qb.add_argument("--kg", type=int, required=True, help="second hidden cardinality")
     qb.add_argument("--n", type=int, required=True, help="observed state count")
     qb.add_argument("--mu", type=float, required=True, help="perturbation level")
-    qb.add_argument("--samples", type=_int_list, required=True,
+    qb.add_argument("--samples", type=_distinct(_int_list), required=True,
                     help="comma-separated sample sizes, e.g. 50,200,2000")
     qb.add_argument("--trials", type=int, required=True)
-    qb.add_argument("--methods", type=_str_list, required=True,
+    qb.add_argument("--methods", type=_distinct(_str_list), required=True,
                     help="comma-separated: tensor, spectral@K, nj, oracle")
     _add_common(qb)
 
@@ -138,9 +151,9 @@ def make_parser() -> argparse.ArgumentParser:
                     help="hidden cardinality range lo,hi (default 2,8)")
     tb.add_argument("--n", type=int, default=10, help="observed state count")
     tb.add_argument("--mu", type=float, required=True, help="perturbation level")
-    tb.add_argument("--samples", type=_int_list, required=True)
+    tb.add_argument("--samples", type=_distinct(_int_list), required=True)
     tb.add_argument("--trials", type=int, required=True)
-    tb.add_argument("--methods", type=_str_list, required=True)
+    tb.add_argument("--methods", type=_distinct(_str_list), required=True)
     tb.add_argument("--hidden-base", choices=("independent", "identity"),
                     default="independent",
                     help="base table for hidden-to-hidden edges")
@@ -154,7 +167,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     dg = subs.add_parser("diagnose", help="recovery diagnostics of a model file")
     dg.add_argument("--model", required=True, help="parameterized model file")
-    dg.add_argument("--samples", type=_int_list, default=[],
+    dg.add_argument("--samples", type=_distinct(_int_list), default=[],
                     help="sample sizes (>= 1) at which to evaluate the success bounds")
     dg.add_argument("--max-quartets", type=_positive_int, default=None,
                     help="subsample this many quartets (>= 1) on large trees")
@@ -176,7 +189,10 @@ def _run_bench(args, config, run, **fields) -> int:
     except ValueError as exc:
         raise Refusal(EXIT_USAGE, str(exc)) from None
     t0 = time.perf_counter()
-    return _write_outputs(args, run(cfg, jobs=args.jobs).csv_text(), t0)
+    table = run(cfg, jobs=args.jobs)  # a trial that raised a TensorTreeError reads NaN
+    errors = {name: sum(math.isnan(row[3]) for row in table.rows if row[0] == name)
+              for name in cfg.methods}
+    return _write_outputs(args, table.csv_text(), t0, errors=errors)
 
 
 def cmd_quartet_bench(args) -> int:

@@ -356,15 +356,32 @@ def sample(tree: LatentTree, m: int, seed) -> SampleSet:
     for parent, edges in groupby(tree.parent_order(), key=lambda edge: edge[0]):
         above = states.pop(parent)
         for _, child in edges:
-            cum = np.cumsum(p.cpts[(parent, child)], axis=0)  # (child_states, parent_states)
-            cum[-1, :] = 1.0
-            drawn = (rng.random(m)[:, None] < cum.T[above]).argmax(axis=1)
+            drawn = _inverse_cdf(p.cpts[(parent, child)], above, rng.random(m))
             if child in row:
                 store[row[child]] = drawn
             else:
                 states[child] = drawn
     return SampleSet(rows=store.T + 1, variable_names=[tree.leaf_names[v] for v in leaves],
                      n_states=p.n)
+
+
+def _inverse_cdf(cpt, parent_states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per sample, the first child state whose cumulative sum down column
+    ``parent_states[i]`` of ``cpt`` exceeds u[i], the last state's sum counting as 1.0.
+    The sums never decrease, so that is the count of the other states' sums at most
+    u[i]: a binary search without branches, over each column padded with +inf to
+    2^p - 1 entries, counts them for all samples at once."""
+    cum = np.cumsum(cpt, axis=0)  # (child_states, parent_states)
+    width = (1 << (len(cum) - 1).bit_length()) - 1
+    table = np.full((cum.shape[1], width), np.inf)
+    table[:, :len(cum) - 1] = cum[:-1].T
+    start = parent_states * width - 1  # just before each sample's column
+    pos = start.copy()
+    step = (width + 1) // 2
+    while step:
+        pos += step * (u >= table.ravel().take(pos + step))
+        step //= 2
+    return pos - start
 
 
 def _frequencies(samples: SampleSet, idx: tuple[int, ...]) -> np.ndarray:

@@ -59,7 +59,7 @@ def neighbor_join(dist: np.ndarray, names) -> LatentTree:
     the output deterministic.  Non-finite entries are replaced by a large
     finite sentinel.
     """
-    dist = np.array(dist, dtype=float)
+    dist = np.array(dist, dtype=float, order="C")  # row sums add contiguous rows
     d = dist.shape[0]
     if dist.shape != (d, d) or d != len(names):
         raise ValueError("distance matrix and names are inconsistent")
@@ -73,27 +73,31 @@ def neighbor_join(dist: np.ndarray, names) -> LatentTree:
     if d < 4:
         raise ValueError(f"need at least 4 variables, got {d}")
 
-    # One row per node of the final tree: d leaves and d - 2 hidden nodes.
-    full = np.zeros((2 * d - 2, 2 * d - 2))
-    full[:d, :d] = dist
+    # ``dist`` stays compact: row and column c belong to node ``active[c]``.
+    # Adding ``lower`` sets Q to +inf at i >= j, so only pairs i < j compete and
+    # the row-major argmin is the lowest-index pair among ties.
+    lower = np.tril(np.full((d, d), np.inf))
+    scratch = np.empty(d * d)  # Q, computed in place
     active = list(range(d))  # node ids of current clusters
     adj: dict[int, list[int]] = {i: [] for i in range(d)}
     for h in range(d, 2 * d - 3):
         n_act = len(active)
-        sub = full[np.ix_(active, active)]
-        r = sub.sum(axis=1)
-        q = np.round((n_act - 2) * sub - r[:, None] - r[None, :], 12)
-        # Only pairs i < j compete; the row-major argmin is the lowest-index
-        # pair among ties.
-        q[np.tril_indices(n_act)] = np.inf
+        r = dist.sum(axis=1)
+        q = scratch[:n_act * n_act].reshape(n_act, n_act)
+        np.multiply(n_act - 2, dist, out=q)  # round((n_act-2)*dist - r[:,None] - r[None,:], 12)
+        q -= r[:, None]
+        q -= r[None, :]
+        np.round(q, 12, out=q)
+        q += lower[:n_act, :n_act]
         a, b = divmod(int(np.argmin(q)), n_act)
         adj[h] = [active[a], active[b]]
         adj[active[a]].append(h)
         adj[active[b]].append(h)
-        rest = [c for c in range(n_act) if c not in (a, b)]
-        keep = [active[c] for c in rest]
-        full[h, keep] = full[keep, h] = 0.5 * (sub[a, rest] + sub[b, rest] - sub[a, b])
-        active = keep + [h]
+        rest = np.r_[0:a, a + 1:b, b + 1:n_act]  # kept rows in order; the new node goes last
+        joined = np.zeros((n_act - 1, n_act - 1))
+        joined[:-1, :-1] = dist[rest][:, rest]
+        joined[-1, :-1] = joined[:-1, -1] = 0.5 * (dist[a, rest] + dist[b, rest] - dist[a, b])
+        dist, active = joined, [active[c] for c in rest] + [h]
     # Join the last three clusters through one final hidden node.
     h = 2 * d - 3
     adj[h] = list(active)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tensortree import cli, from_newick, robinson_foulds, write_model
+from tensortree import bench, cli, from_newick, robinson_foulds, write_model
 from tensortree.bench import diagnostics, random_tree_model
 from tensortree.cli import main
 from tensortree.exceptions import ModelError, NumericalError, ParseError
@@ -412,6 +412,23 @@ class TestOutOfRangeValues:
                                 f"method {method!r} at n = 33 needs tables of 1185921 bins")
 
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("quartet-bench", "--samples", "50,200,50"),
+        ("quartet-bench", "--methods", "tensor,nj,tensor"),
+        ("tree-bench", "--samples", "50,50"), ("tree-bench", "--methods", "nj,oracle,nj"),
+        ("diagnose", "--samples", "100,100")])
+    def test_repeated_entry(self, model_file, fixture_data, tmp_path, capsys, command,
+                            option, value):
+        # A repeated entry would write the same rows, or report lines, twice.
+        argv = command_args(command, model_file, fixture_data[1]) + [option, value]
+        repeated = value.split(",")[0]
+        self.assert_usage_error(argv, tmp_path / "o.csv", capsys,
+                                f"{option}: repeated entry {repeated} in {value!r}")
+
+    def test_equal_k_range_bounds_are_valid(self, tmp_path):
+        assert "2,2" in TREE_ARGS
+        assert main(TREE_ARGS + ["--out", str(tmp_path / "t.csv")]) == 0
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_seed(self, model_file, fixture_data, tmp_path, capsys, command):
         argv = command_args(command, model_file, fixture_data[1]) + ["--seed=-1"]
@@ -425,6 +442,36 @@ class TestOutOfRangeValues:
         self.assert_usage_error(command_args(command, model_file, fixture_data[1]),
                                 tmp_path / "o.csv", capsys,
                                 "TENSORTREE_SEED: expected a non-negative integer, got '-3'")
+
+
+class TestBenchErrorCounts:
+    """A trial that raises a TensorTreeError is a NaN outcome in the CSV, and the
+    manifest's ``errors`` counts those rows per method, 0 for a method without any."""
+
+    @staticmethod
+    def run(argv, out):
+        assert main(argv + ["--seed", "4", "--out", str(out)]) == 0
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        return (*read_rows(out), manifest["errors"])
+
+    @pytest.mark.parametrize("argv, resolver, failing", [
+        (QUARTET_ARGS[:-1] + ["tensor,spectral@2,oracle"], "resolve_spectral_k", "spectral@2"),
+        (TREE_ARGS[:-1] + ["tensor,nj,oracle"], "resolve_nuclear", "tensor")])
+    def test_failing_resolver(self, tmp_path, monkeypatch, argv, resolver, failing):
+        methods = argv[-1].split(",")
+        header, rows, errors = self.run(argv, tmp_path / "a.csv")
+        assert errors == dict.fromkeys(methods, 0)
+
+        def fail(*args, **kwargs):
+            raise NumericalError("SVD did not converge")
+        monkeypatch.setattr(bench, resolver, fail)
+        failed_header, failed_rows, errors = self.run(argv, tmp_path / "b.csv")
+        per_method = len(rows) // len(methods)
+        assert errors == {**dict.fromkeys(methods, 0), failing: per_method}
+        assert failed_header == header == "method,m,trial,outcome,elapsed_ms"
+        assert [r[:3] for r in failed_rows] == [r[:3] for r in rows]
+        assert [r[3] for r in failed_rows] == ["nan" if r[0] == failing else r[3]
+                                               for r in rows]
 
 
 class TestUnwritableOut:

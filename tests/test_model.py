@@ -244,6 +244,57 @@ class TestSampling:
         assert np.array_equal(s.columns, ref.columns)
         assert s.variable_names == ref.variable_names and s.n_states == ref.n_states
 
+    @staticmethod
+    def assert_equal_to_reference(tree, m, seed):
+        s, ref = sample(tree, m, seed), reference_sample(tree, m, seed)
+        assert np.array_equal(s.columns, ref.columns)
+        assert s.columns.dtype == ref.columns.dtype
+
+    @pytest.mark.parametrize("marginal", [[0.6, 0.0, 0.4], [0.5, 0.5, 0.0]])
+    def test_parent_state_no_sample_takes(self, marginal):
+        # Hidden state 1, or the last hidden state, is never drawn anywhere.
+        absent = marginal.index(0.0)
+        tree = random_tree_model(9, 0.5, 4, 3, 0.5, 8)
+        p = tree.params
+        cpts = {}
+        for (parent, child), cpt in p.cpts.items():
+            cpt = np.array(cpt)
+            if not tree.is_leaf(child):
+                cpt[absent] = 0.0
+                cpt /= cpt.sum(axis=0)
+            cpts[(parent, child)] = cpt
+        params = TreeParameters(n=p.n, k=p.k, root=p.root,
+                                root_marginal=np.array(marginal), cpts=cpts)
+        tree = LatentTree({u: tree.neighbors(u) for u in tree.nodes()}, tree.leaf_names,
+                          params=params)
+        self.assert_equal_to_reference(tree, 2000, 9)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (8, 3), (9, 4), (16, 2), (17, 5)])
+    def test_state_counts_around_powers_of_two(self, n, k):
+        # Each column's n - 1 cumulative sums are searched padded to 2^p - 1 entries.
+        self.assert_equal_to_reference(random_tree_model(7, 0.5, n, k, 0.5, n), 500, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_sample(self, seed):
+        self.assert_equal_to_reference(random_tree_model(12, 0.5, 5, 3, 0.5, seed), 1, seed)
+
+    def test_cumulative_sum_passing_one_before_the_last_row(self):
+        # P(state 2) = 0 and cumsum [0.7, 1.0000000000000009, 1.0]: the reference's
+        # forced last sum of 1.0 is below the one before it; a u past 0.7 draws state 1.
+        col = [0.7, 0.3 + 1e-15, 0.0]
+        assert np.cumsum(col)[1] > 1.0
+        tree = quartet_tree([0, 1, 2, 3], QuartetRelation.PAIR_12_34)
+        h, g = tree.neighbors(0)[0], tree.neighbors(2)[0]
+        leaf_cpt = np.array([col, [0.2, 0.8, 0.0]]).T
+        cpts = {(h, 0): leaf_cpt, (h, 1): leaf_cpt, (g, 2): leaf_cpt, (g, 3): leaf_cpt,
+                (h, g): np.array([[0.6, 0.3], [0.4, 0.7]])}
+        params = TreeParameters(n=3, k=2, root=h, root_marginal=np.array([0.5, 0.5]),
+                                cpts=cpts)
+        tree = LatentTree({u: tree.neighbors(u) for u in tree.nodes()}, tree.leaf_names,
+                          params=params)
+        self.assert_equal_to_reference(tree, 5000, 10)
+        assert set(np.unique(sample(tree, 5000, 10).columns)) == {0, 1}
+
     def test_peak_memory_keeps_no_int64_stack(self):
         # Keeping all 126 nodes' int64 states and an m x d int64 stack, as
         # ``reference_sample`` does, peaks near 39 MiB; the store is 1.3 MB.

@@ -218,6 +218,44 @@ class TestNeighborJoin:
         assert INFINITE_SENTINEL > 1e9
 
 
+def symmetric(upper):
+    """The symmetric matrix with a zero diagonal whose upper triangle is ``upper``'s."""
+    dist = np.triu(np.asarray(upper, dtype=float), 1)
+    return dist + dist.T
+
+
+class TestNeighborJoinBeyondSmallD:
+    """The compact joining loop against ``reference_nj_edges`` where many joins
+    move rows, on inputs where the joining criterion ties often."""
+
+    @staticmethod
+    def assert_matches_reference(dist):
+        built = neighbor_join(dist, [f"X{i}" for i in range(len(dist))])
+        assert built.edges() == reference_nj_edges(dist)
+
+    @pytest.mark.parametrize("d", [4, 5, 16, 40, 64])
+    def test_small_integers(self, d):
+        rng = np.random.default_rng([4, d])
+        self.assert_matches_reference(symmetric(rng.integers(1, 4, (d, d))))
+
+    @pytest.mark.parametrize("d", [4, 5, 16, 40, 64])
+    def test_all_distances_equal(self, d):
+        self.assert_matches_reference(np.ones((d, d)) - np.eye(d))
+
+    @pytest.mark.parametrize("d", [4, 5, 16, 40, 64])
+    def test_infinite_entries_in_first_and_last_rows(self, d):
+        rng = np.random.default_rng([5, d])
+        dist = symmetric(rng.integers(1, 4, (d, d)))
+        dist[0, 1::2] = dist[1::2, 0] = np.inf
+        dist[-1, :-1:3] = dist[:-1:3, -1] = np.inf
+        self.assert_matches_reference(dist)
+
+    def test_column_major_input(self):
+        # The loop sums rows of a C-ordered copy, as the reference sums its gathered rows.
+        dist = symmetric(np.random.default_rng(6).uniform(0, 5, (40, 40)))
+        self.assert_matches_reference(np.asfortranarray(dist))
+
+
 def reference_nj_build(samples):
     """The nj build one pair at a time: a count and a distance per pair."""
     d = samples.d
