@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .exceptions import (ModelError, NumericalError, ParseError,  # noqa: F401
                          TensorTreeError)
-from .tensors import (JointTensor4, QuartetRelation, kronecker,  # noqa: F401
-                      nuclear_norm, spectral, unfold)
+from .tensors import (JointTensor4, QuartetRelation, nuclear_norm,  # noqa: F401
+                      spectral, unfold)
 from .model import (LatentTree, SampleSet, TreeParameters,  # noqa: F401
                     empirical_pairwise, empirical_pairwise_stack,
                     empirical_quartet_tensor, exact_quartet_distribution,

@@ -28,7 +28,7 @@ from .resolvers import (PAIR_KEYS, four_point, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
 # Unused here, but perfbench/tracing.py patches this name on this module.
 from .nj import additive_distance  # noqa: F401
-from .tensors import JointTensor4, QuartetRelation, kronecker, nuclear_norm, unfold
+from .tensors import JointTensor4, QuartetRelation, nuclear_norm, unfold
 
 # ---------------------------------------------------------------------------
 # CPT generation
@@ -265,25 +265,28 @@ class RecoveryDiagnostics:
     edge_bound_ok: bool         # delta <= theta_min / (k^2 + k)
     combined_bound_ok: bool     # delta <= min(theta_min / (k^2 + k), gamma_min)
 
+    def _success_bound(self, m: int, tests: float) -> float:
+        """1 - 8 tests exp(-m alpha_min^2 / 32), capped at 0 (no guarantee) if alpha_min <= 0."""
+        bound = 1.0 - 8.0 * tests * math.exp(-m * self.alpha_min ** 2 / 32.0)
+        return bound if self.alpha_min > 0 else min(bound, 0.0)
+
     def quartet_success_bound(self, m: int) -> float:
         """Lower bound on the single-test success probability at m samples."""
-        return 1.0 - 8.0 * math.exp(-m * self.alpha_min ** 2 / 32.0)
+        return self._success_bound(m, 1.0)
 
     def tree_success_bound(self, m: int) -> float:
         """Lower bound on whole-tree recovery probability at m samples."""
-        factor = BUILDER_CALL_CONSTANT * self.d * math.log2(self.d)
-        return 1.0 - 8.0 * factor * math.exp(-m * self.alpha_min ** 2 / 32.0)
+        return self._success_bound(m, BUILDER_CALL_CONSTANT * self.d * math.log2(self.d))
 
 
 def _quartet_gaps(tensor: JointTensor4) -> tuple[float, float]:
-    """(theta, alpha) of a tensor whose true pairing is 12|34: the surrogate gap,
-    from its pairwise tables 12 and 34 only, and the nuclear-norm score gap.
-    alpha reads SVD scores: resolve_nuclear's Gram scores may differ in the
-    last digits that diagnose prints."""
-    tables = pairwise_tables(tensor)
-    p12, p34 = tables[0], tables[5]
-    correct = float(np.linalg.norm(kronecker(p34, p12)))
-    theta = min(nuclear_norm(kronecker(p34, p12)), nuclear_norm(kronecker(p34.T, p12))) - correct
+    """(theta, alpha) of a tensor whose true pairing is 12|34.  theta is the
+    surrogate gap from its pairwise tables P12 and P34 alone: the surrogate's wrong
+    unfoldings are Kronecker products of the two, whose singular values multiply.
+    alpha, the score gap of the unfoldings, reads SVD scores: resolve_nuclear's
+    Gram scores may differ in the last digits that diagnose prints."""
+    p12, p34 = pairwise_tables(tensor)[[0, 5]]
+    theta = nuclear_norm(p12) * nuclear_norm(p34) - np.linalg.norm(p12) * np.linalg.norm(p34)
     right, *wrong = (nuclear_norm(unfold(tensor, rel)) for rel in QuartetRelation)
     return theta, min(wrong) - right
 

@@ -43,19 +43,21 @@ def _call_resolver(resolver, quartet, trace: BuildTrace) -> QuartetRelation:
     return rel
 
 
-def _centroid(order: list, parent: dict, below: dict, candidates) -> int:
-    """The candidate whose heaviest branch weighs least, ties to the lowest id.
+def _centroid(order: list, parent: dict, below: dict) -> int:
+    """The node whose heaviest branch weighs least, ties to the lowest id.
 
     ``order`` lists a rooted tree top-down (each node after its parent) and
     ``parent`` maps every other node to its parent.  ``below`` holds each node's
     own weight and is summed in place into subtree weights, so a node's branches
-    are its children's subtrees and the rest of the tree."""
+    are its children's subtrees and the rest of the tree.  Weighted by leaves, it
+    is a hidden node: a leaf's other branch holds d - 1 leaves, and no hidden
+    node's heaviest branch more than d - 2."""
     heavy = dict.fromkeys(order, 0)  # heaviest child subtree
     for u in reversed(order[1:]):
         below[parent[u]] += below[u]
         heavy[parent[u]] = max(heavy[parent[u]], below[u])
     total = below[order[0]]
-    return min(candidates, key=lambda h: (max(heavy[h], total - below[h]), h))
+    return min(order, key=lambda h: (max(heavy[h], total - below[h]), h))
 
 
 def choose_balanced_root(tree: LatentTree) -> int:
@@ -66,7 +68,7 @@ def choose_balanced_root(tree: LatentTree) -> int:
     edges = tree.bfs_edges(tree.leaves[0])
     order = [tree.leaves[0]] + [child for _, child in edges]
     below = {u: int(tree.is_leaf(u)) for u in order}
-    return _centroid(order, {child: p for p, child in edges}, below, tree.hidden)
+    return _centroid(order, {child: p for p, child in edges}, below)
 
 
 def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
@@ -98,7 +100,7 @@ def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
         # A direction of a region node holds as many candidate edges as region
         # nodes, so counting nodes finds the most even split of the candidates.
         # A node with one region edge scores all of them; an inner node beats it.
-        best = _centroid(region, parent, dict.fromkeys(region, 1), region)
+        best = _centroid(region, parent, dict.fromkeys(region, 1))
         reps = []
         for v in adj[best]:
             dir_leaves = sorted(leaves.intersection(side(best, v)))

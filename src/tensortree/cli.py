@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error (a ParseError or ModelError,
 a file that cannot be read or decoded, or an --out path that cannot be written;
-its directory is checked before any work), 4 NumericalError. Every error ends in
-``main``, which prints ``error: <message>`` on stderr.
+its directory is checked before any work), 4 NumericalError. A value refused while
+the options are parsed (a type check, a missing required option, a bad choice)
+prints argparse's usage lines and ``tensortree <command>: error: ...`` and exits
+2; every other error ends in ``main``, which prints ``error: <message>`` on stderr.
 No command counts a table of more than bench.MAX_TABLE_BINS bins (n^4 for
 ``tensor`` and for every ``quartet-bench`` method, n^2 for the others): ``build``
 exits 3 on such a sample file, the bench commands exit 2 on such a config.
@@ -70,14 +72,11 @@ def _int_list(text: str) -> list[int]:
     return [_positive_int(x) for x in text.split(",") if x.strip()]
 
 
-def _str_list(text: str) -> list[str]:
-    return [x.strip() for x in text.split(",") if x.strip()]
-
-
-def _distinct(parse_list):
-    """``parse_list`` refusing a repeated entry, which would write the same rows twice."""
+def _distinct(item):
+    """A comma list of ``item(entry)`` over its non-blank entries, refusing a
+    repeated entry, which would write the same rows twice."""
     def parse(text: str) -> list:
-        values = parse_list(text)
+        values = [item(x) for x in text.split(",") if x.strip()]
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise argparse.ArgumentTypeError(f"repeated entry {repeated[0]} in {text!r}")
@@ -136,10 +135,10 @@ def make_parser() -> argparse.ArgumentParser:
     qb.add_argument("--kg", type=int, required=True, help="second hidden cardinality")
     qb.add_argument("--n", type=int, required=True, help="observed state count")
     qb.add_argument("--mu", type=float, required=True, help="perturbation level")
-    qb.add_argument("--samples", type=_distinct(_int_list), required=True,
+    qb.add_argument("--samples", type=_distinct(_positive_int), required=True,
                     help="comma-separated sample sizes, e.g. 50,200,2000")
     qb.add_argument("--trials", type=int, required=True)
-    qb.add_argument("--methods", type=_distinct(_str_list), required=True,
+    qb.add_argument("--methods", type=_distinct(str.strip), required=True,
                     help="comma-separated: tensor, spectral@K, nj, oracle")
     _add_common(qb)
 
@@ -151,9 +150,9 @@ def make_parser() -> argparse.ArgumentParser:
                     help="hidden cardinality range lo,hi (default 2,8)")
     tb.add_argument("--n", type=int, default=10, help="observed state count")
     tb.add_argument("--mu", type=float, required=True, help="perturbation level")
-    tb.add_argument("--samples", type=_distinct(_int_list), required=True)
+    tb.add_argument("--samples", type=_distinct(_positive_int), required=True)
     tb.add_argument("--trials", type=int, required=True)
-    tb.add_argument("--methods", type=_distinct(_str_list), required=True)
+    tb.add_argument("--methods", type=_distinct(str.strip), required=True)
     tb.add_argument("--hidden-base", choices=("independent", "identity"),
                     default="independent",
                     help="base table for hidden-to-hidden edges")
@@ -167,7 +166,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     dg = subs.add_parser("diagnose", help="recovery diagnostics of a model file")
     dg.add_argument("--model", required=True, help="parameterized model file")
-    dg.add_argument("--samples", type=_distinct(_int_list), default=[],
+    dg.add_argument("--samples", type=_distinct(_positive_int), default=[],
                     help="sample sizes (>= 1) at which to evaluate the success bounds")
     dg.add_argument("--max-quartets", type=_positive_int, default=None,
                     help="subsample this many quartets (>= 1) on large trees")

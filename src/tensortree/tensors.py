@@ -81,8 +81,3 @@ def spectral(matrix: np.ndarray) -> np.ndarray:
 def nuclear_norm(matrix: np.ndarray) -> float:
     """Sum of all singular values."""
     return float(spectral(matrix).sum())
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (m1*m2) x (n1*n2)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))

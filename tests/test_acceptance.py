@@ -20,7 +20,7 @@ from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
 from tensortree.cli import main as cli_main
 from tensortree.metrics import bipartitions
 from tensortree.model import sample
-from tensortree.tensors import kronecker, nuclear_norm, unfold
+from tensortree.tensors import nuclear_norm, unfold
 
 from helpers import khatri_rao, mean_outcomes, numerical_rank
 
@@ -53,9 +53,9 @@ def test_unfolding_factorizations_exact():
             (unfold(t, QuartetRelation.PAIR_12_34),
              khatri_rao(p2, p1) @ m.joint_hidden @ khatri_rao(p4, p3).T),
             (unfold(t, QuartetRelation.PAIR_13_24),
-             kronecker(p3, p1) @ diag_j @ kronecker(p4, p2).T),
+             np.kron(p3, p1) @ diag_j @ np.kron(p4, p2).T),
             (unfold(t, QuartetRelation.PAIR_14_23),
-             kronecker(p4, p1) @ diag_j @ kronecker(p3, p2).T),
+             np.kron(p4, p1) @ diag_j @ np.kron(p3, p2).T),
         ]
         worst = max(worst, *(np.linalg.norm(a - b) for a, b in targets))
     elapsed = time.perf_counter() - t0
@@ -114,7 +114,7 @@ def test_independence_identities():
         # The wrong unfoldings factor as Kronecker products of pairwise tables.
         pairs = pairwise_tables(t)
         worst_eq = max(worst_eq, float(np.abs(
-            b - kronecker(pairs[5], pairs[0])).max()))
+            b - np.kron(pairs[5], pairs[0])).max()))
     report("independence-identities", worst_eq <= 1e-9 and order_ok,
            f"100 models, max identity deviation {worst_eq:.2e}")
 

@@ -11,16 +11,17 @@ from tensortree import QuartetRelation, bench, resolve_nuclear, to_newick
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
                               ResultTable, TreeExperimentConfig,
                               dependence_limited_model, diagnostics,
-                              identity_base, parameterize, parse_method,
+                              identity_base, pairwise_tables, parameterize, parse_method,
                               perturb_stochastic, perturbed_cpt,
                               random_quartet_model, random_topology,
                               random_tree_model, recover,
                               run_quartet_experiment, run_tree_experiment,
                               with_dependence_scaled)
 from tensortree.exceptions import ModelError
-from tensortree.model import LatentTree, TreeParameters, sample
+from tensortree.model import (LatentTree, TreeParameters, exact_quartet_distribution,
+                              sample)
 from tensortree.nj import INFINITE_SENTINEL, additive_distance
-from tensortree.resolvers import PAIR_KEYS
+from tensortree.resolvers import PAIR_KEYS, resolve_oracle
 from tensortree.tensors import nuclear_norm, unfold
 
 from helpers import mean_outcomes, recursive_random_topology
@@ -105,6 +106,25 @@ def reference_quartets(leaves, max_quartets, seed):
     return quartets
 
 
+def reference_quartet_gaps(tensor):
+    """``bench._quartet_gaps`` as it was when it formed the surrogate's unfoldings:
+    the two wrong ones as Kronecker products of P12 and P34, scored by SVD."""
+    tables = pairwise_tables(tensor)
+    p12, p34 = tables[0], tables[5]
+    correct = float(np.linalg.norm(np.kron(p34, p12)))
+    theta = min(nuclear_norm(np.kron(p34, p12)), nuclear_norm(np.kron(p34.T, p12))) - correct
+    right, *wrong = (nuclear_norm(unfold(tensor, rel)) for rel in QuartetRelation)
+    return theta, min(wrong) - right
+
+
+def oracle_ordered_quartets(tree):
+    """Exact tables of every quartet of ``tree``, leaves ordered true pairing first."""
+    for q in itertools.combinations(tree.leaves, 4):
+        (g1, g2) = resolve_oracle(tree, q).groups
+        yield exact_quartet_distribution(
+            tree, (q[g1[0] - 1], q[g1[1] - 1], q[g2[0] - 1], q[g2[1] - 1]))
+
+
 QUARTET_DRAWS = [(d, mq) for d in (4, 5, 9, 17)
                  for mq in (None, 1, 5, 60, math.comb(d, 4) - 1, math.comb(d, 4)) if mq != 0]
 QUARTET_DRAWS += [(40, mq) for mq in (1, 7, 300, 2000)]
@@ -158,10 +178,43 @@ class TestDiagnostics:
     def test_bound_functions(self):
         model = random_quartet_model(2, 2, 4, 0.9, 4)
         d = diagnostics(model)
-        m = 1234
-        assert d.quartet_success_bound(m) == pytest.approx(
-            1 - 8 * math.exp(-m * d.alpha_min ** 2 / 32))
-        assert d.tree_success_bound(m) <= d.quartet_success_bound(m)
+        assert d.alpha_min > 0  # so both bounds are the closed forms, bit for bit
+        factor = bench.BUILDER_CALL_CONSTANT * d.d * math.log2(d.d)
+        for m in (100, 1234, 10 ** 9):
+            tail = math.exp(-m * d.alpha_min ** 2 / 32)
+            assert d.quartet_success_bound(m) == 1 - 8 * tail
+            assert d.tree_success_bound(m) == 1 - 8 * factor * tail
+            assert d.tree_success_bound(m) <= d.quartet_success_bound(m)
+
+    def test_nonpositive_alpha_guarantees_nothing(self):
+        # The d=12 model of the CI diagnose step: the nuclear test errs on some
+        # quartet even from exact marginals, so no sample size makes a bound positive.
+        d = diagnostics(random_tree_model(12, 0.5, 4, 2, 0.6, 12, hidden_base="identity"))
+        assert d.alpha_min < 0  # about -5.8e-4
+        for m in (10 ** 9, 10 ** 10):
+            assert d.quartet_success_bound(m) <= 0
+            assert d.tree_success_bound(m) <= 0
+        # A bound already at or below 0 keeps its closed-form value.
+        assert d.quartet_success_bound(100) == 1.0 - 8.0 * math.exp(
+            -100 * d.alpha_min ** 2 / 32.0)
+
+    @pytest.mark.parametrize("k_h, k_g, n", [(2, 3, 4), (3, 2, 5), (2, 4, 6), (4, 3, 5)])
+    def test_gaps_match_kronecker_reference_on_quartet_models(self, k_h, k_g, n):
+        for seed in range(5):
+            model = random_quartet_model(k_h, k_g, n, 0.8, [k_h, k_g, seed])
+            tensor = model.exact_tensor()
+            (theta, alpha), (ref_theta, ref_alpha) = (bench._quartet_gaps(tensor),
+                                                      reference_quartet_gaps(tensor))
+            assert abs(theta - ref_theta) <= 1e-15 and alpha == ref_alpha
+
+    @pytest.mark.parametrize("hidden_base", ["independent", "identity"])
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (6, 4)])
+    def test_gaps_match_kronecker_reference_on_tree_quartets(self, hidden_base, n, k):
+        tree = random_tree_model(6, 0.5, n, k, 0.6, [n, k], hidden_base=hidden_base)
+        for tensor in oracle_ordered_quartets(tree):
+            (theta, alpha), (ref_theta, ref_alpha) = (bench._quartet_gaps(tensor),
+                                                      reference_quartet_gaps(tensor))
+            assert abs(theta - ref_theta) <= 1e-15 and alpha == ref_alpha
 
     def test_tree_model_diagnostics(self):
         tree = random_tree_model(6, 0.5, 4, 2, 0.8, 5, hidden_base="identity")

@@ -11,7 +11,7 @@ from tensortree.bench import (dependence_limited_model, diagnostics,
                               random_topology)
 from tensortree.exceptions import ModelError
 from tensortree.resolvers import _decide, four_point, gram_scores
-from tensortree.tensors import kronecker, nuclear_norm, spectral, unfold
+from tensortree.tensors import nuclear_norm, spectral, unfold
 
 from helpers import dfs_path
 
@@ -49,7 +49,7 @@ class TestNuclear:
         indep = replace(model, joint_hidden=np.outer(ph, pg))
         v = resolve_nuclear(indep.exact_tensor())
         tables = pairwise_tables(indep.exact_tensor())
-        expected = np.linalg.norm(kronecker(tables[5], tables[0]))
+        expected = np.linalg.norm(np.kron(tables[5], tables[0]))
         assert v.scores[v.relation - 1] == pytest.approx(expected, abs=1e-9)
 
     def test_label_equivariance(self):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortree import (JointTensor4, QuartetRelation, kronecker, nuclear_norm,
-                        spectral, unfold)
+from tensortree import JointTensor4, QuartetRelation, nuclear_norm, spectral, unfold
 from tensortree.exceptions import NumericalError
 
 
@@ -146,14 +145,23 @@ class TestProperties:
 
 
 class TestProducts:
-    def test_kronecker_identity(self):
-        assert np.array_equal(kronecker(np.eye(2), np.eye(2)), np.eye(4))
+    """The norm identities of A kron B that bench._quartet_gaps reads theta from."""
 
     def test_kronecker_frobenius_multiplicative(self):
         rng = np.random.default_rng(8)
         m, n = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        assert np.linalg.norm(kronecker(m, n)) == pytest.approx(
-            np.linalg.norm(m) * np.linalg.norm(n))
+        for b in (n, n.T):
+            assert np.linalg.norm(np.kron(m, b)) == pytest.approx(
+                np.linalg.norm(m) * np.linalg.norm(b))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kronecker_nuclear_multiplicative(self, seed):
+        # The singular values of A kron B are the products of theirs.
+        rng = np.random.default_rng([9, seed])
+        m, n = rng.random((4, 3)), rng.random((5, 2))
+        for b in (n, n.T):
+            assert nuclear_norm(np.kron(m, b)) == pytest.approx(
+                nuclear_norm(m) * nuclear_norm(b), rel=1e-12)
 
 
 class TestJointTensor4:
