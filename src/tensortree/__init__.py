@@ -17,7 +17,7 @@ from .nj import additive_distance, distance_matrix, neighbor_join  # noqa: F401
 from .metrics import (bipartitions, from_newick, robinson_foulds,  # noqa: F401
                       to_newick)
 from .bench import (QuartetExperimentConfig, QuartetModel,  # noqa: F401
-                    RecoveryDiagnostics, ResultTable, TreeExperimentConfig,
+                    RecoveryDiagnostics, TreeExperimentConfig,
                     diagnostics, parameterize, perturbed_cpt,
                     random_quartet_model, random_topology, random_tree_model,
                     run_quartet_experiment, run_tree_experiment)

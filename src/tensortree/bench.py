@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -368,7 +368,7 @@ def _diagnostics_tree(tree: LatentTree, max_quartets, seed) -> RecoveryDiagnosti
 
 
 # ---------------------------------------------------------------------------
-# Experiment configuration and result tables
+# Experiment configuration and result rows
 # ---------------------------------------------------------------------------
 
 
@@ -497,25 +497,42 @@ class TreeExperimentConfig:
 RESULT_COLUMNS = ("method", "m", "trial", "outcome", "elapsed_ms")
 
 
-@dataclass
-class ResultTable:
-    """Per-trial benchmark outcomes with deterministic ordering."""
-
-    rows: list = field(default_factory=list)
-
-    def add(self, method, m, trial, outcome, elapsed_ms):
-        self.rows.append((str(method), int(m), int(trial), float(outcome),
-                          float(elapsed_ms)))
-
-    def csv_text(self) -> str:
-        return ",".join(RESULT_COLUMNS) + "\n" + "".join(
-            f"{method},{m},{trial},{outcome:.10g},{ms:.3f}\n"
-            for method, m, trial, outcome, ms in self.rows)
+def result_csv(rows) -> str:
+    """CSV text of result rows, one (method, m, trial, outcome, elapsed_ms) each."""
+    return ",".join(RESULT_COLUMNS) + "\n" + "".join(
+        f"{method},{m},{trial},{outcome:.10g},{ms:.3f}\n"
+        for method, m, trial, outcome, ms in rows)
 
 
 # ---------------------------------------------------------------------------
 # Benchmark runners
 # ---------------------------------------------------------------------------
+
+
+def _timed_row(name, m, trial, outcome) -> tuple:
+    """The result row of one method: ``float(outcome())`` and the milliseconds it
+    took; NaN if it raised a TensorTreeError, and any other exception propagates."""
+    t0 = time.perf_counter()
+    try:
+        value = float(outcome())
+    except TensorTreeError:
+        value = math.nan
+    return (name, m, trial, value, (time.perf_counter() - t0) * 1000.0)
+
+
+def _quartet_relation(name, emp, tables, model) -> QuartetRelation:
+    """The pairing one method reads from the empirical tensor ``emp``; ``tables()``
+    gives its six pairwise tables, counted by the first method that needs them."""
+    family, k = parse_method(name)
+    if family == "tensor":
+        return resolve_nuclear(emp).relation
+    if family == "oracle":
+        return model.true_relation
+    if family == "spectral":
+        return resolve_spectral_k(tables(), k).relation
+    dist = distance_matrix(tables(), 4)
+    dist[np.isinf(dist)] = INFINITE_SENTINEL
+    return four_point(dist)
 
 
 def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
@@ -529,29 +546,10 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
         rng = np.random.default_rng([cfg.seed, 2, trial, mi])
         counts = rng.multinomial(m, p_flat).reshape(n, n, n, n)
         emp = JointTensor4(counts / m)
-        tables = None
+        tables = functools.cache(lambda: pairwise_tables(emp))
         for name in cfg.methods:
-            family, k = parse_method(name)
-            t0 = time.perf_counter()
-            try:
-                if family == "tensor":
-                    rel = resolve_nuclear(emp).relation
-                elif family == "oracle":
-                    rel = model.true_relation
-                else:
-                    if tables is None:
-                        tables = pairwise_tables(emp)
-                    if family == "spectral":
-                        rel = resolve_spectral_k(tables, k).relation
-                    else:
-                        dist = distance_matrix(tables, 4)
-                        dist[np.isinf(dist)] = INFINITE_SENTINEL
-                        rel = four_point(dist)
-                outcome = 1.0 if rel == model.true_relation else 0.0
-            except TensorTreeError:
-                outcome = math.nan
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            rows.append((name, m, trial, outcome, elapsed))
+            rows.append(_timed_row(name, m, trial, lambda: _quartet_relation(
+                name, emp, tables, model) == model.true_relation))
     return rows
 
 
@@ -564,35 +562,26 @@ def _tree_trial(cfg: TreeExperimentConfig, trial: int) -> list:
     for mi, m in enumerate(cfg.sample_grid):
         samples = sample(truth, m, np.random.default_rng([cfg.seed, 2, trial, mi]))
         for name in cfg.methods:
-            t0 = time.perf_counter()
-            try:
-                learned = recover(samples, name, [cfg.seed, 3, trial, mi], truth=truth)
-                outcome = float(robinson_foulds(learned, truth))
-            except TensorTreeError:
-                outcome = math.nan
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            rows.append((name, m, trial, outcome, elapsed))
+            rows.append(_timed_row(name, m, trial, lambda: robinson_foulds(
+                recover(samples, name, [cfg.seed, 3, trial, mi], truth=truth), truth)))
     return rows
 
 
-def _run(cfg, trial_fn, jobs: int) -> ResultTable:
-    table = ResultTable()
-    if jobs <= 1:
+def _run(cfg, trial_fn, jobs: int) -> list:
+    workers = min(jobs, cfg.trials)  # no idle worker, and no pool for one
+    if workers <= 1:
         chunks = [trial_fn(cfg, t) for t in range(cfg.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(trial_fn, [cfg] * cfg.trials, range(cfg.trials)))
-    for chunk in chunks:  # chunks arrive in trial order: deterministic merge
-        for row in chunk:
-            table.add(*row)
-    return table
+    return [row for chunk in chunks for row in chunk]  # in trial order: deterministic
 
 
-def run_quartet_experiment(cfg: QuartetExperimentConfig, jobs: int = 1) -> ResultTable:
-    """Success/failure of each method at recovering the true quartet pairing."""
+def run_quartet_experiment(cfg: QuartetExperimentConfig, jobs: int = 1) -> list:
+    """Result rows: success (1) or failure (0) of each method at the true pairing."""
     return _run(cfg, _quartet_trial, jobs)
 
 
-def run_tree_experiment(cfg: TreeExperimentConfig, jobs: int = 1) -> ResultTable:
-    """Robinson-Foulds error of each method at recovering random latent trees."""
+def run_tree_experiment(cfg: TreeExperimentConfig, jobs: int = 1) -> list:
+    """Result rows: Robinson-Foulds error of each method on random latent trees."""
     return _run(cfg, _tree_trial, jobs)

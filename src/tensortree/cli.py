@@ -7,8 +7,8 @@ the options are parsed (a type check, a missing required option, a bad choice)
 prints argparse's usage lines and ``tensortree <command>: error: ...`` and exits
 2; every other error ends in ``main``, which prints ``error: <message>`` on stderr.
 No command counts a table of more than bench.MAX_TABLE_BINS bins (n^4 for
-``tensor`` and for every ``quartet-bench`` method, n^2 for the others): ``build``
-exits 3 on such a sample file, the bench commands exit 2 on such a config.
+``tensor``, every ``quartet-bench`` method and ``diagnose``, n^2 for the others):
+``build`` and ``diagnose`` exit 3 on such an input file, the bench commands exit 2.
 Seeds are non-negative integers; TENSORTREE_SEED overrides the default of 0
 (anything else is a usage error), and an explicit --seed flag always wins.
 """
@@ -25,8 +25,8 @@ from itertools import groupby
 
 from . import __version__
 from .bench import (MAX_TABLE_BINS, QuartetExperimentConfig, TreeExperimentConfig,
-                    diagnostics, parse_method, recover, run_quartet_experiment,
-                    run_tree_experiment, table_bins)
+                    diagnostics, parse_method, recover, result_csv,
+                    run_quartet_experiment, run_tree_experiment, table_bins)
 from .exceptions import NumericalError, TensorTreeError
 from .metrics import to_newick
 from .model import SampleSet
@@ -188,10 +188,10 @@ def _run_bench(args, config, run, **fields) -> int:
     except ValueError as exc:
         raise Refusal(EXIT_USAGE, str(exc)) from None
     t0 = time.perf_counter()
-    table = run(cfg, jobs=args.jobs)  # a trial that raised a TensorTreeError reads NaN
-    errors = {name: sum(math.isnan(row[3]) for row in table.rows if row[0] == name)
+    rows = run(cfg, jobs=args.jobs)  # a trial that raised a TensorTreeError reads NaN
+    errors = {name: sum(math.isnan(row[3]) for row in rows if row[0] == name)
               for name in cfg.methods}
-    return _write_outputs(args, table.csv_text(), t0, errors=errors)
+    return _write_outputs(args, result_csv(rows), t0, errors=errors)
 
 
 def cmd_quartet_bench(args) -> int:
@@ -234,6 +234,10 @@ def cmd_diagnose(args) -> int:
     model = _read(read_model, args.model)
     if model.params is None:
         raise Refusal(EXIT_DATA, "model file has no parameters to diagnose")
+    bins = table_bins("tensor", model.params.n)  # diagnose builds exact quartet tensors
+    if bins > MAX_TABLE_BINS:
+        raise Refusal(EXIT_DATA, f"{model.params.n} states make quartet tensors of "
+                      f"{bins} bins, over the limit of {MAX_TABLE_BINS}")
     t0 = time.perf_counter()
     diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
     fields = [("theta_min", diag.theta_min), ("gamma_min", diag.gamma_min),

@@ -36,19 +36,13 @@ class QuartetVerdict:
 def _decide(scores, minimize: bool) -> QuartetVerdict:
     arr = np.asarray(scores, dtype=float)
     signed = arr if minimize else -arr
-    best = int(np.argmin(signed))
+    near = signed - signed.min() < TIE_RTOL * max(np.max(np.abs(arr)), 1e-300)
+    best = int(np.argmax(near))  # deterministic tie rule: the lowest tied pairing
     gaps = np.delete(signed - signed[best], best)
-    scale = max(np.max(np.abs(arr)), 1e-300)
-    tie = bool(np.min(gaps) < TIE_RTOL * scale)
-    if tie:
-        # Deterministic tie rule: lowest-index pairing among the tied ones.
-        tied = np.flatnonzero(signed - signed[best] < TIE_RTOL * scale)
-        best = int(tied.min())
-        gaps = np.delete(signed - signed[best], best)
     return QuartetVerdict(relation=QuartetRelation(best + 1),
                           scores=tuple(float(x) for x in arr),
                           margin=float(max(np.min(gaps), 0.0)),
-                          tie=tie)
+                          tie=bool(near.sum() > 1))
 
 
 def _gram_nuclear(matrix: np.ndarray, delta: float) -> float:

@@ -76,10 +76,10 @@ def disjoint_path_oracle(tree, leaves):
     raise AssertionError(f"no pairing of {leaves} has disjoint paths")
 
 
-def mean_outcomes(table):
-    """(method, m) -> mean outcome of a ``ResultTable``; a NaN outcome fails."""
+def mean_outcomes(rows):
+    """(method, m) -> mean outcome of a runner's result rows; a NaN outcome fails."""
     groups = {}
-    for method, m, trial, outcome, _ms in table.rows:
+    for method, m, trial, outcome, _ms in rows:
         assert not math.isnan(outcome), f"{method} at m={m}, trial {trial}: NaN outcome"
         groups.setdefault((method, m), []).append(outcome)
     return {key: float(np.mean(vals)) for key, vals in groups.items()}

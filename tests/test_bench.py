@@ -3,18 +3,18 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tensortree import QuartetRelation, bench, resolve_nuclear, to_newick
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
-                              ResultTable, TreeExperimentConfig,
-                              dependence_limited_model, diagnostics,
+                              TreeExperimentConfig, dependence_limited_model, diagnostics,
                               identity_base, pairwise_tables, parameterize, parse_method,
                               perturb_stochastic, perturbed_cpt,
                               random_quartet_model, random_topology,
-                              random_tree_model, recover,
+                              random_tree_model, recover, result_csv,
                               run_quartet_experiment, run_tree_experiment,
                               with_dependence_scaled)
 from tensortree.exceptions import ModelError
@@ -284,9 +284,9 @@ class TestHarness:
         cfg = QuartetExperimentConfig(k_h=2, k_g=2, n=4, mu=0.5,
                                       sample_grid=(100,), trials=1,
                                       methods=("tensor", "oracle"), seed=0)
-        table = run_quartet_experiment(cfg)
-        assert len(table.rows) == 2
-        assert {r[0] for r in table.rows} == {"tensor", "oracle"}
+        rows = run_quartet_experiment(cfg)
+        assert len(rows) == 2
+        assert {r[0] for r in rows} == {"tensor", "oracle"}
 
     def test_oracle_always_succeeds(self):
         cfg = QuartetExperimentConfig(k_h=2, k_g=3, n=5, mu=0.5,
@@ -302,15 +302,48 @@ class TestHarness:
         a = run_quartet_experiment(cfg)
         b = run_quartet_experiment(cfg)
         strip = lambda rows: [r[:4] for r in rows]  # drop elapsed_ms
-        assert strip(a.rows) == strip(b.rows)
+        assert strip(a) == strip(b)
 
     def test_parallel_matches_serial(self):
-        cfg = QuartetExperimentConfig(k_h=2, k_g=2, n=4, mu=0.8,
+        for run, cfg in [
+                (run_quartet_experiment,
+                 QuartetExperimentConfig(k_h=2, k_g=2, n=4, mu=0.8, sample_grid=(100,),
+                                         trials=4, methods=("tensor",), seed=4)),
+                (run_tree_experiment,
+                 TreeExperimentConfig(d=6, beta=0.5, k_range=(2, 3), n=4, mu=0.5,
                                       sample_grid=(100,), trials=4,
-                                      methods=("tensor",), seed=4)
-        a = run_quartet_experiment(cfg, jobs=1)
-        b = run_quartet_experiment(cfg, jobs=2)
-        assert [r[:4] for r in a.rows] == [r[:4] for r in b.rows]
+                                      methods=("tensor", "nj"), seed=4))]:
+            a = run(cfg, jobs=1)
+            b = run(cfg, jobs=2)
+            assert [r[:4] for r in a] == [r[:4] for r in b]
+
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        cfg = TreeExperimentConfig(d=5, beta=0.5, k_range=(2, 2), n=3, mu=0.5,
+                                   sample_grid=(50,), trials=2, methods=("oracle",), seed=6)
+        serial = run_tree_experiment(cfg)
+        assert started == []
+        assert [r[:4] for r in run_tree_experiment(cfg, jobs=64)] == [r[:4] for r in serial]
+        assert started == [2]
+        run_tree_experiment(replace(cfg, trials=1), jobs=8)
+        assert started == [2]  # one trial: no pool
 
     def test_tree_experiment_oracle_rf_zero(self):
         cfg = TreeExperimentConfig(d=6, beta=0.5, k_range=(2, 3), n=5, mu=0.5,
@@ -320,15 +353,13 @@ class TestHarness:
         assert all(mean == 0.0 for mean in summary.values())
 
     def test_result_table_csv(self, tmp_path):
-        table = ResultTable()
-        table.add("tensor", 100, 0, 1.0, 2.5)
-        table.add("tensor", 100, 1, 0.0, 2.5)
+        rows = [("tensor", 100, 0, 1.0, 2.5), ("tensor", 100, 1, 0.0, 2.5)]
         path = tmp_path / "out.csv"
-        path.write_text(table.csv_text())
+        path.write_text(result_csv(rows))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "method,m,trial,outcome,elapsed_ms"
         assert len(lines) == 3
-        assert mean_outcomes(table) == {("tensor", 100): 0.5}
+        assert mean_outcomes(rows) == {("tensor", 100): 0.5}
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(tensor):

@@ -193,6 +193,15 @@ class TestBuild:
         assert f"cannot read {csv}: 'utf-8' codec can't decode" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spectral_rank_over_state_count_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_text("a,b,c,d\n1,2,1,2\n2,1,2,1\n")
+        out = tmp_path / "t.nwk"
+        assert main(["build", "--input", str(csv), "--method", "spectral@3",
+                     "--out", str(out)]) == 2
+        assert "error: spectral rank 3 exceeds state count 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_not_allowed(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("a,b,c,d\n1,1,1,1\n")
@@ -301,6 +310,15 @@ class TestDiagnose:
         out = tmp_path / "d.csv"
         assert main(["diagnose", "--model", str(model), "--out", str(out)]) == 3
         assert "need at least 4 leaves, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_state_count_over_table_limit_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        write_model(random_tree_model(4, 0.5, 33, 2, 0.5, 2), model)
+        out = tmp_path / "d.csv"
+        assert main(["diagnose", "--model", str(model), "--out", str(out)]) == 3
+        assert ("33 states make quartet tensors of 1185921 bins, over the limit of "
+                "1048576") in capsys.readouterr().err
         assert not out.exists()
 
     def test_cpt_on_a_non_edge_is_data_error(self, tmp_path, capsys):

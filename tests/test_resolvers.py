@@ -1,5 +1,7 @@
 """Unit tests for the three quartet resolvers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from tensortree.bench import (dependence_limited_model, diagnostics,
                               pairwise_tables, random_quartet_model,
                               random_topology)
 from tensortree.exceptions import ModelError
-from tensortree.resolvers import _decide, four_point, gram_scores
+from tensortree.resolvers import (TIE_RTOL, QuartetVerdict, _decide, four_point,
+                                  gram_scores)
 from tensortree.tensors import nuclear_norm, spectral, unfold
 
 from helpers import dfs_path
@@ -220,6 +223,50 @@ def reference_four_point(dist):
     """four_point as written before it read QuartetRelation.groups."""
     scores = [dist[0][1] + dist[2][3], dist[0][2] + dist[1][3], dist[0][3] + dist[1][2]]
     return QuartetRelation(int(np.argmin(np.round(scores, 12))) + 1)
+
+
+def reference_decide(scores, minimize):
+    """_decide as written before it decided in one pass: the argmin, then the tied
+    set and the gaps again from the lowest tied pairing when there is a tie."""
+    arr = np.asarray(scores, dtype=float)
+    signed = arr if minimize else -arr
+    best = int(np.argmin(signed))
+    gaps = np.delete(signed - signed[best], best)
+    scale = max(np.max(np.abs(arr)), 1e-300)
+    tie = bool(np.min(gaps) < TIE_RTOL * scale)
+    if tie:
+        tied = np.flatnonzero(signed - signed[best] < TIE_RTOL * scale)
+        best = int(tied.min())
+        gaps = np.delete(signed - signed[best], best)
+    return QuartetVerdict(relation=QuartetRelation(best + 1),
+                          scores=tuple(float(x) for x in arr),
+                          margin=float(max(np.min(gaps), 0.0)),
+                          tie=tie)
+
+
+class TestDecide:
+    # Exact ties, gaps just under and over TIE_RTOL, signs, and extreme scales.
+    GRID = (0.0, 1.0, -1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-11, 2.0, 1e300, -1e300,
+            5e-324, 1e-300, 3e-310)
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_matches_reference_on_tie_grid(self, minimize):
+        for scores in itertools.product(self.GRID, repeat=3):
+            assert _decide(scores, minimize) == reference_decide(scores, minimize)
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_matches_reference_on_near_ties(self, minimize):
+        rng = np.random.default_rng(11)
+        steps = (0.0, 1e-14, -1e-14, 5e-13, -5e-13, 2e-12, 1e-9)
+        ties = 0
+        for _ in range(3000):
+            scores = rng.random(3) * 10.0 ** rng.integers(-300, 300)
+            for i in rng.choice(3, size=int(rng.integers(1, 3)), replace=False):
+                scores[i] = scores[i - 1] * (1 + rng.choice(steps))
+            verdict = _decide(scores, minimize)
+            assert verdict == reference_decide(scores, minimize)
+            ties += verdict.tie
+        assert 0 < ties < 3000
 
 
 class TestMatchesReferencePairings:
