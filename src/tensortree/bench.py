@@ -389,11 +389,18 @@ def parse_method(name: str) -> tuple[str, int | None]:
 
 
 MAX_TABLE_BINS = 2 ** 20  # 8 MiB of float64: tensor allows n <= 32, the others n <= 1024
+MAX_STACK_BINS = 2 ** 26  # 512 MiB of float64: all d(d-1)/2 pairwise tables at once
 
 
 def table_bins(family: str, n: int) -> int:
     """Bins of a method's largest table at n states: n^4 for tensor, n^2 else."""
     return n ** (4 if family == "tensor" else 2)
+
+
+def stack_bins(family: str, d: int, n: int) -> int:
+    """Bins of the pairwise tables a method may hold at once: every pair's for nj,
+    which stacks them, and spectral@K, which caches them; none for the others."""
+    return d * (d - 1) // 2 * n * n if family in ("nj", "spectral") else 0
 
 
 def _validate_shared(cfg, bins) -> None:
@@ -492,6 +499,11 @@ class TreeExperimentConfig:
         if not (2 <= lo <= hi <= self.n):
             raise ValueError("k range must satisfy 2 <= lo <= hi <= n")
         _validate_shared(self, lambda family: table_bins(family, self.n))
+        for name in self.methods:
+            bins = stack_bins(parse_method(name)[0], self.d, self.n)
+            if bins > MAX_STACK_BINS:
+                raise ValueError(f"method {name!r} at d = {self.d}, n = {self.n} holds pairwise "
+                                 f"tables of {bins} bins, over the limit of {MAX_STACK_BINS}")
 
 
 RESULT_COLUMNS = ("method", "m", "trial", "outcome", "elapsed_ms")

@@ -32,15 +32,12 @@ class BuildTrace:
     def quartet_test_count(self) -> int:
         return len(self.verdicts)
 
-    def record(self, quartet, relation) -> None:
-        self.verdicts.append((tuple(quartet), QuartetRelation(relation)))
-
-
-def _call_resolver(resolver, quartet, trace: BuildTrace) -> QuartetRelation:
-    out = resolver(*quartet)
-    rel = QuartetRelation(getattr(out, "relation", out))
-    trace.record(quartet, rel)
-    return rel
+    def ask(self, resolver, quartet) -> QuartetRelation:
+        """The relation ``resolver(*quartet)`` gives, logged with its quartet."""
+        out = resolver(*quartet)
+        rel = QuartetRelation(getattr(out, "relation", out))
+        self.verdicts.append((tuple(quartet), rel))
+        return rel
 
 
 def _centroid(order: list, parent: dict, below: dict) -> int:
@@ -65,8 +62,8 @@ def choose_balanced_root(tree: LatentTree) -> int:
     ties broken by lowest node id."""
     if not tree.hidden:
         raise ValueError("tree has no hidden node")
-    edges = tree.bfs_edges(tree.leaves[0])
-    order = [tree.leaves[0]] + [child for _, child in edges]
+    edges = tree.parent_order()  # any orientation: the centroid does not depend on it
+    order = [edges[0][0]] + [child for _, child in edges]
     below = {u: int(tree.is_leaf(u)) for u in order}
     return _centroid(order, {child: p for p, child in edges}, below)
 
@@ -76,42 +73,34 @@ def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
     """Find the attachment edge for a new leaf with O(log d) quartet tests."""
     # Orient the tree once; each direction of a node is then one slice of the
     # preorder, or two.
-    order, parent, stack = [], {}, [(next(iter(adj)), None)]
+    order, parent, pos, stack = [], {}, {}, [(next(iter(adj)), None)]
     while stack:
         u, parent[u] = stack.pop()
+        pos[u] = len(order)
         order.append(u)
         stack.extend((v, u) for v in adj[u] if v != parent[u])
-    pos = {u: i for i, u in enumerate(order)}
-    size = dict.fromkeys(order, 1)
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-
-    def side(h: int, v: int) -> list[int]:
-        """Nodes in the direction of neighbour v of h, in preorder."""
-        if parent[v] == h:
-            return order[pos[v]:pos[v] + size[v]]
-        return order[:pos[h]] + order[pos[h] + size[h]:]
-
+    size = dict.fromkeys(order, 1)  # the first _centroid call sums it into subtree sizes
     # The candidate edges are those inside ``region``, a connected node set in
     # preorder: its first node is its top and holds every other node's parent.
-    region = order
-    depth = 0
+    region, below, depth = order, size, 0
     while len(region) > 2:
         # A direction of a region node holds as many candidate edges as region
         # nodes, so counting nodes finds the most even split of the candidates.
         # A node with one region edge scores all of them; an inner node beats it.
-        best = _centroid(region, parent, dict.fromkeys(region, 1))
+        best = _centroid(region, parent, below)
+        # Its directions in preorder: a child's subtree, or all but its own subtree.
+        sides = [order[pos[v]:pos[v] + size[v]] if parent[v] == best
+                 else order[:pos[best]] + order[pos[best] + size[best]:] for v in adj[best]]
         reps = []
-        for v in adj[best]:
-            dir_leaves = sorted(leaves.intersection(side(best, v)))
+        for side in sides:
+            dir_leaves = sorted(leaves.intersection(side))
             reps.append(dir_leaves[rng.integers(len(dir_leaves))])
-        rel = _call_resolver(resolver, (new_leaf, *reps), trace)
+        rel = trace.ask(resolver, (new_leaf, *reps))
         depth += 1
-        nb = adj[best][int(rel) - 1]
         # Region nodes keep three edges, or one at the boundary: no empty direction.
-        assert nb in region
-        keep = set(side(best, nb))
+        keep = set(sides[int(rel) - 1])
         region = [u for u in region if u == best or u in keep]
+        below = dict.fromkeys(region, 1)
     trace.insertion_depths.append(depth)
     return tuple(sorted(region))
 
@@ -136,15 +125,16 @@ def build_tree(resolver: Callable, variables: Sequence[int], seed=0,
         names = {v: f"X{v}" for v in order}
     trace = BuildTrace()
     first = order[:4]
-    rel = _call_resolver(resolver, tuple(first), trace)
+    rel = trace.ask(resolver, tuple(first))
     trace.insertion_depths.append(1)
     start = quartet_tree(first, rel, names=names, hidden_start=max(order) + 1)
     adj = {u: list(start.neighbors(u)) for u in start.nodes()}
     leaves = set(first)
+    fresh = max(adj)  # hidden ids count up from the largest; every leaf id lies below it
     for x in order[4:]:
         u, v = _locate_edge(adj, leaves, x, resolver, rng, trace)
         # Put a fresh hidden node on edge (u, v) and hang x off it.
-        fresh = max(max(adj), x) + 1
+        fresh += 1
         for a, b in ((u, v), (v, u)):
             adj[a][adj[a].index(b)] = fresh
             adj[a].sort()

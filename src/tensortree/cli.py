@@ -9,6 +9,9 @@ prints argparse's usage lines and ``tensortree <command>: error: ...`` and exits
 No command counts a table of more than bench.MAX_TABLE_BINS bins (n^4 for
 ``tensor``, every ``quartet-bench`` method and ``diagnose``, n^2 for the others):
 ``build`` and ``diagnose`` exit 3 on such an input file, the bench commands exit 2.
+Nor does an ``nj`` or ``spectral@K`` run of ``build`` or ``tree-bench`` hold pairwise
+tables of more than bench.MAX_STACK_BINS bins in all (d(d-1)/2 * n^2): ``build``
+exits 3 on such a file and ``tree-bench`` exits 2, before any table is counted.
 Seeds are non-negative integers; TENSORTREE_SEED overrides the default of 0
 (anything else is a usage error), and an explicit --seed flag always wins.
 """
@@ -24,9 +27,9 @@ import time
 from itertools import groupby
 
 from . import __version__
-from .bench import (MAX_TABLE_BINS, QuartetExperimentConfig, TreeExperimentConfig,
-                    diagnostics, parse_method, recover, result_csv,
-                    run_quartet_experiment, run_tree_experiment, table_bins)
+from .bench import (MAX_STACK_BINS, MAX_TABLE_BINS, QuartetExperimentConfig,
+                    TreeExperimentConfig, diagnostics, parse_method, recover, result_csv,
+                    run_quartet_experiment, run_tree_experiment, stack_bins, table_bins)
 from .exceptions import NumericalError, TensorTreeError
 from .metrics import to_newick
 from .model import SampleSet
@@ -225,6 +228,11 @@ def cmd_build(args) -> int:
     if bins > MAX_TABLE_BINS:
         raise Refusal(EXIT_DATA, f"{samples.n_states} states make tables of {bins} bins "
                       f"for method {args.method}, over the limit of {MAX_TABLE_BINS}")
+    bins = stack_bins(family, samples.d, samples.n_states)
+    if bins > MAX_STACK_BINS:
+        raise Refusal(EXIT_DATA, f"{samples.d} variables of {samples.n_states} states make "
+                      f"pairwise tables of {bins} bins for method {args.method}, over the "
+                      f"limit of {MAX_STACK_BINS}")
     t0 = time.perf_counter()
     tree = recover(samples, args.method, args.seed)
     return _write_outputs(args, to_newick(tree) + "\n", t0)

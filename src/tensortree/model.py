@@ -42,7 +42,7 @@ class TreeParameters:
         # Here and below, NaN and -inf fail ``>= 0`` and +inf fails the sum test.
         if pm.shape != (self.k,) or not np.all(pm >= 0) or abs(pm.sum() - 1.0) > 1e-9:
             raise ModelError("root marginal must be a length-k probability vector")
-        edges = set(tree.bfs_edges(self.root))
+        edges = set(tree.parent_order())
         missing, stray = sorted(edges - set(self.cpts)), sorted(set(self.cpts) - edges)
         if missing or stray:
             raise ModelError(f"CPT edges must point away from root {self.root}: "
@@ -100,10 +100,12 @@ class LatentTree:
         n_edges = sum(len(vs) for vs in adj.values()) // 2
         if n_edges != len(nodes) - 1:
             raise ModelError("graph is not a tree (wrong edge count)")
-        # The one orientation every path query climbs: parents and depths from the lowest id.
-        root = min(nodes)
+        # The one orientation, from the parameter root or else the lowest id: its edges
+        # are parent_order(), and every path query climbs its parents and depths.
+        root = self.params.root if self.params and self.params.root in adj else min(nodes)
+        self._edges = tuple(bfs_edges(adj, root))
         self._parent, self._depth = {}, {root: 0}
-        for parent, child in bfs_edges(adj, root):
+        for parent, child in self._edges:
             self._parent[child] = parent
             self._depth[child] = self._depth[parent] + 1
         if len(self._depth) != len(nodes):
@@ -166,9 +168,9 @@ class LatentTree:
             raise ModelError("tree is not parameterized")
         return self.params
 
-    def parent_order(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs in BFS order from the root."""
-        return self.bfs_edges(self._require_params().root)
+    def parent_order(self) -> tuple[tuple[int, int], ...]:
+        """(parent, child) pairs in BFS order from the parameter root, else the lowest id."""
+        return self._edges
 
     def node_marginal(self, v: int) -> np.ndarray:
         p = self._require_params()
@@ -262,8 +264,9 @@ class SampleSet:
 
     def __post_init__(self, rows):
         rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ValueError("rows must be a nonempty m x d integer array")
+        if rows.dtype.kind not in "iu" or rows.ndim != 2 or rows.shape[0] < 1:  # astype truncates
+            raise ValueError(f"rows must be a nonempty m x d integer array, got shape "
+                             f"{rows.shape} and dtype {rows.dtype}")
         if rows.shape[1] != len(self.variable_names):
             raise ValueError("column count does not match variable names")
         if rows.min() < 1 or rows.max() > self.n_states:

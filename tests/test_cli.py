@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -82,6 +83,17 @@ class TestTreeBench:
         assert len(rows) == 4
         oracle_rf = [float(r[3]) for r in rows if r[0] == "oracle"]
         assert oracle_rf == [0.0, 0.0]
+
+    def test_pairwise_tables_over_stack_limit_is_usage_error(self, tmp_path, capsys):
+        # d = 5 has 10 pairs: 90 bins at n = 3 and 160 at n = 4, around a limit of 100.
+        with mock.patch.object(bench, "MAX_STACK_BINS", 100):
+            for n, code in ((3, 0), (4, 2)):
+                assert main(["tree-bench", "--d", "5", "--beta", "0.5", "--mu", "0.5",
+                             "--n", str(n), "--k-range", "2,2", "--samples", "50",
+                             "--trials", "1", "--methods", "tensor,nj",
+                             "--out", str(tmp_path / f"t{n}.csv")]) == code
+        assert ("method 'nj' at d = 5, n = 4 holds pairwise tables of 160 bins, over the "
+                "limit of 100") in capsys.readouterr().err
 
     def test_bad_k_range(self, tmp_path):
         code = main(["tree-bench", "--d", "6", "--beta", "0.5", "--mu", "0.5",
@@ -180,6 +192,22 @@ class TestBuild:
         csv.write_text("a,b,c,d\n1,2,1,2\n2,1,1024,1\n3,3,2,2\n")
         assert main(["build", "--input", str(csv), "--method", "nj",
                      "--out", str(tmp_path / "t.nwk")]) == 0
+
+    @pytest.mark.parametrize("method", ["nj", "spectral@2"])
+    def test_pairwise_tables_over_stack_limit_is_data_error(self, tmp_path, capsys, method):
+        # d = 5 has 10 pairs: 90 bins at n = 3 and 160 at n = 4, around a limit of 100.
+        for n in (3, 4):
+            samples = sample(random_tree_model(5, 0.5, n, 2, 0.5, 1), 500, 1)
+            assert samples.n_states == n and samples.columns.max() == n - 1
+            samples.to_csv(tmp_path / f"s{n}.csv")
+        with mock.patch.object(cli, "MAX_STACK_BINS", 100):
+            assert main(["build", "--input", str(tmp_path / "s3.csv"), "--method", method,
+                         "--out", str(tmp_path / "t3.nwk")]) == 0
+            assert main(["build", "--input", str(tmp_path / "s4.csv"), "--method", method,
+                         "--out", str(tmp_path / "t4.nwk")]) == 3
+        assert (f"5 variables of 4 states make pairwise tables of 160 bins for method "
+                f"{method}, over the limit of 100") in capsys.readouterr().err
+        assert not (tmp_path / "t4.nwk").exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["build", "--input", str(tmp_path / "nope.csv"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tensortree import model
 from tensortree import (LatentTree, QuartetRelation, SampleSet, TreeParameters,
-                        empirical_pairwise, empirical_pairwise_stack,
+                        choose_balanced_root, empirical_pairwise, empirical_pairwise_stack,
                         empirical_quartet_tensor, exact_quartet_distribution,
                         pairwise_distribution, quartet_tree, sample)
 from tensortree.bench import random_topology, random_tree_model
@@ -415,6 +415,13 @@ class TestColumnStore:
         assert peak < 16 * 2 ** 20
 
 
+def test_non_integer_states_refused():
+    for rows in ([[1.5, 2.9, 1.0, 2.0]], [[True, False, True, True]], [["1", "2", "1", "2"]]):
+        rows = np.array(rows)
+        with pytest.raises(ValueError, match=f"and dtype {rows.dtype}$"):
+            SampleSet(rows=rows, variable_names=list("abcd"), n_states=3)
+
+
 class TestPairwiseValidation:
     def samples(self):
         return SampleSet(rows=np.array([[1, 2, 3, 1], [2, 1, 1, 3]]),
@@ -676,9 +683,15 @@ class TestParameterEdges:
 ORIENTATION_TREES = [("random", d, beta, seed) for d in (4, 5, 9, 33, 200)
                      for beta in (0.1, 0.5) for seed in range(3)]
 ORIENTATION_TREES += [("caterpillar", d, None, None) for d in (4, 5, 60, 300)]
+# Oriented from a parameter root that is neither the lowest id nor the lowest hidden id.
+ORIENTATION_TREES += [("parameterized", d, beta, seed) for d in (4, 9, 60)
+                      for beta in (0.1, 0.5) for seed in range(2)]
 
 
 def orientation_tree(shape, d, beta, seed):
+    if shape == "parameterized":
+        tree = random_tree_model(d, beta, 3, 2, 0.5, [d, seed])
+        return from_root(tree, max(tree.hidden))
     return caterpillar(d) if shape == "caterpillar" else random_topology(d, beta, [d, seed])
 
 
@@ -698,6 +711,29 @@ class TestOrientationMatchesReferences:
         for _ in range(100):
             q = rng.choice(t.leaves, size=4, replace=False).tolist()
             assert resolve_oracle(t, q) == disjoint_path_oracle(t, q)
+
+
+class TestOneOrientation:
+    """A tree is walked once, when it is built; every later query reads that walk."""
+
+    def test_one_walk_per_parameterized_tree(self):
+        tree = from_root(random_tree_model(12, 0.5, 3, 2, 0.5, 4), 19)
+        assert tree.params.root == 19 != min(tree.hidden)
+        with mock.patch.object(model, "bfs_edges", wraps=model.bfs_edges) as walk:
+            tree = LatentTree({u: tree.neighbors(u) for u in tree.nodes()}, tree.leaf_names,
+                              params=tree.params)
+            assert walk.call_count == 1
+            edges = tree.parent_order()
+            sample(tree, 100, 0)
+            exact_quartet_distribution(tree, (3, 0, 7, 11))
+            tree.node_marginal(5)
+            choose_balanced_root(tree)
+            assert walk.call_count == 1
+        assert edges == tuple(tree.bfs_edges(19))
+
+    def test_unparameterized_tree_orients_from_lowest_id(self):
+        tree = random_topology(9, 0.5, 2)
+        assert tree.parent_order() == tuple(tree.bfs_edges(0))
 
 
 class TestOrientationErrors:
