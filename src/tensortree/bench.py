@@ -392,28 +392,42 @@ MAX_TABLE_BINS = 2 ** 20  # 8 MiB of float64: tensor allows n <= 32, the others 
 MAX_STACK_BINS = 2 ** 26  # 512 MiB of float64: all d(d-1)/2 pairwise tables at once
 
 
-def table_bins(family: str, n: int) -> int:
-    """Bins of a method's largest table at n states: n^4 for tensor, n^2 else."""
-    return n ** (4 if family == "tensor" else 2)
+def check_method(method: str, d: int, n: int) -> tuple[str, int | None]:
+    """``parse_method(method)``, or a ValueError if the method cannot run on d
+    variables of n states.  Every method needs d >= 4, and ``spectral@K`` needs
+    K <= n.  Its largest table, n^4 bins for ``tensor`` and n^2 for the others
+    (``oracle`` holds none), must fit in MAX_TABLE_BINS; ``nj``, which stacks every
+    pair's table, and ``spectral@K``, which caches them, must also fit all
+    d(d-1)/2 of them in MAX_STACK_BINS."""
+    family, k = parse_method(method)
+    if d < 4:
+        raise ValueError(f"need at least 4 variables, got {d}")
+    if family == "spectral" and k > n:
+        raise ValueError(f"spectral rank {k} exceeds state count {n}")
+    if family == "oracle":
+        return family, k
+    tensor = family == "tensor"
+    bins = n ** 4 if tensor else n ** 2
+    if bins > MAX_TABLE_BINS:
+        raise ValueError(f"{n} states make {'quartet tensors' if tensor else 'pairwise tables'} "
+                         f"of {bins} bins, over the limit of {MAX_TABLE_BINS}")
+    stack = 0 if tensor else d * (d - 1) // 2 * bins
+    if stack > MAX_STACK_BINS:
+        raise ValueError(f"{d} variables of {n} states make pairwise tables of {stack} bins, "
+                         f"over the limit of {MAX_STACK_BINS}")
+    return family, k
 
 
-def stack_bins(family: str, d: int, n: int) -> int:
-    """Bins of the pairwise tables a method may hold at once: every pair's for nj,
-    which stacks them, and spectral@K, which caches them; none for the others."""
-    return d * (d - 1) // 2 * n * n if family in ("nj", "spectral") else 0
-
-
-def _validate_shared(cfg, bins) -> None:
-    """Checks of the fields both configs share; ``bins(family)`` sizes a trial's largest table."""
+def _validate_shared(cfg, d: int) -> None:
+    """Checks of the fields both configs share, each method run on d variables."""
     if not cfg.methods:
         raise ValueError("need at least one method")
+    parsed = {}
     for name in cfg.methods:
-        family, k = parse_method(name)
-        if family == "spectral" and k > cfg.n:
-            raise ValueError(f"method {name!r} needs k <= n = {cfg.n}")
-        if bins(family) > MAX_TABLE_BINS:
-            raise ValueError(f"method {name!r} at n = {cfg.n} needs tables of "
-                             f"{bins(family)} bins, over the limit of {MAX_TABLE_BINS}")
+        method = check_method(name, d, cfg.n)
+        if method in parsed:  # the same rows under two labels
+            raise ValueError(f"methods {parsed[method]!r} and {name!r} are the same method")
+        parsed[method] = name
     # n * (1 + mu) bounds every perturbed column sum, so no sum can overflow.
     if cfg.mu < 0 or not math.isfinite(cfg.n * (1 + cfg.mu)):
         raise ValueError(f"mu must be >= 0 with n * (1 + mu) finite, got {cfg.mu}")
@@ -472,7 +486,8 @@ class QuartetExperimentConfig:
     def __post_init__(self):
         if not (2 <= self.k_h <= self.n and 2 <= self.k_g <= self.n):
             raise ValueError("hidden cardinalities must lie in 2..n")
-        _validate_shared(self, lambda family: self.n ** 4)  # all drawn from the n^4 tensor
+        _validate_shared(self, 4)
+        check_method("tensor", 4, self.n)  # every method reads the exact n^4 tensor
 
 
 @dataclass(frozen=True)
@@ -491,19 +506,12 @@ class TreeExperimentConfig:
     def __post_init__(self):
         if self.hidden_base not in ("independent", "identity"):
             raise ValueError(f"unknown hidden_base {self.hidden_base!r}")
-        if self.d < 4:
-            raise ValueError("d must be >= 4")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         lo, hi = self.k_range
         if not (2 <= lo <= hi <= self.n):
             raise ValueError("k range must satisfy 2 <= lo <= hi <= n")
-        _validate_shared(self, lambda family: table_bins(family, self.n))
-        for name in self.methods:
-            bins = stack_bins(parse_method(name)[0], self.d, self.n)
-            if bins > MAX_STACK_BINS:
-                raise ValueError(f"method {name!r} at d = {self.d}, n = {self.n} holds pairwise "
-                                 f"tables of {bins} bins, over the limit of {MAX_STACK_BINS}")
+        _validate_shared(self, self.d)
 
 
 RESULT_COLUMNS = ("method", "m", "trial", "outcome", "elapsed_ms")

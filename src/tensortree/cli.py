@@ -6,12 +6,9 @@ its directory is checked before any work), 4 NumericalError. A value refused whi
 the options are parsed (a type check, a missing required option, a bad choice)
 prints argparse's usage lines and ``tensortree <command>: error: ...`` and exits
 2; every other error ends in ``main``, which prints ``error: <message>`` on stderr.
-No command counts a table of more than bench.MAX_TABLE_BINS bins (n^4 for
-``tensor``, every ``quartet-bench`` method and ``diagnose``, n^2 for the others):
-``build`` and ``diagnose`` exit 3 on such an input file, the bench commands exit 2.
-Nor does an ``nj`` or ``spectral@K`` run of ``build`` or ``tree-bench`` hold pairwise
-tables of more than bench.MAX_STACK_BINS bins in all (d(d-1)/2 * n^2): ``build``
-exits 3 on such a file and ``tree-bench`` exits 2, before any table is counted.
+Every method's input limits are bench.check_method's: ``build`` and ``diagnose``
+exit 3 on an input file that breaks one, the bench commands exit 2. A command that
+runs out of memory exits 3.
 Seeds are non-negative integers; TENSORTREE_SEED overrides the default of 0
 (anything else is a usage error), and an explicit --seed flag always wins.
 """
@@ -27,9 +24,9 @@ import time
 from itertools import groupby
 
 from . import __version__
-from .bench import (MAX_STACK_BINS, MAX_TABLE_BINS, QuartetExperimentConfig,
-                    TreeExperimentConfig, diagnostics, parse_method, recover, result_csv,
-                    run_quartet_experiment, run_tree_experiment, stack_bins, table_bins)
+from .bench import (QuartetExperimentConfig, TreeExperimentConfig, check_method, diagnostics,
+                    parse_method, recover, result_csv, run_quartet_experiment,
+                    run_tree_experiment)
 from .exceptions import NumericalError, TensorTreeError
 from .metrics import to_newick
 from .model import SampleSet
@@ -212,27 +209,17 @@ def cmd_tree_bench(args) -> int:
 
 def cmd_build(args) -> int:
     try:
-        family, spectral_k = parse_method(args.method)
+        family, _ = parse_method(args.method)
     except ValueError as exc:
         raise Refusal(EXIT_USAGE, str(exc)) from None
     if family == "oracle":
         raise Refusal(EXIT_USAGE, "method 'oracle' needs a known model and is only "
                       "available in the benchmark commands")
     samples = _read(SampleSet.from_csv, args.input)
-    if samples.d < 4:
-        raise Refusal(EXIT_DATA, f"need at least 4 variables, got {samples.d}")
-    if family == "spectral" and spectral_k > samples.n_states:
-        raise Refusal(EXIT_USAGE, f"spectral rank {spectral_k} exceeds state count "
-                      f"{samples.n_states}")
-    bins = table_bins(family, samples.n_states)
-    if bins > MAX_TABLE_BINS:
-        raise Refusal(EXIT_DATA, f"{samples.n_states} states make tables of {bins} bins "
-                      f"for method {args.method}, over the limit of {MAX_TABLE_BINS}")
-    bins = stack_bins(family, samples.d, samples.n_states)
-    if bins > MAX_STACK_BINS:
-        raise Refusal(EXIT_DATA, f"{samples.d} variables of {samples.n_states} states make "
-                      f"pairwise tables of {bins} bins for method {args.method}, over the "
-                      f"limit of {MAX_STACK_BINS}")
+    try:
+        check_method(args.method, samples.d, samples.n_states)
+    except ValueError as exc:
+        raise Refusal(EXIT_DATA, str(exc)) from None
     t0 = time.perf_counter()
     tree = recover(samples, args.method, args.seed)
     return _write_outputs(args, to_newick(tree) + "\n", t0)
@@ -242,10 +229,10 @@ def cmd_diagnose(args) -> int:
     model = _read(read_model, args.model)
     if model.params is None:
         raise Refusal(EXIT_DATA, "model file has no parameters to diagnose")
-    bins = table_bins("tensor", model.params.n)  # diagnose builds exact quartet tensors
-    if bins > MAX_TABLE_BINS:
-        raise Refusal(EXIT_DATA, f"{model.params.n} states make quartet tensors of "
-                      f"{bins} bins, over the limit of {MAX_TABLE_BINS}")
+    try:
+        check_method("tensor", 4, model.params.n)  # diagnose builds exact quartet tensors
+    except ValueError as exc:
+        raise Refusal(EXIT_DATA, str(exc)) from None
     t0 = time.perf_counter()
     diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
     fields = [("theta_min", diag.theta_min), ("gamma_min", diag.gamma_min),
@@ -292,6 +279,9 @@ def main(argv=None) -> int:
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise Refusal(EXIT_DATA, f"cannot write {args.out}: no writable directory {folder}")
         return _COMMANDS[args.command](args)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (Refusal, TensorTreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, Refusal):

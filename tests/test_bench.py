@@ -10,8 +10,8 @@ import pytest
 
 from tensortree import QuartetRelation, bench, resolve_nuclear, to_newick
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
-                              TreeExperimentConfig, dependence_limited_model, diagnostics,
-                              identity_base, pairwise_tables, parameterize, parse_method,
+                              TreeExperimentConfig, check_method, dependence_limited_model,
+                              diagnostics, identity_base, pairwise_tables, parameterize, parse_method,
                               perturb_stochastic, perturbed_cpt,
                               random_quartet_model, random_topology,
                               random_tree_model, recover, result_csv,
@@ -265,6 +265,34 @@ class TestHarness:
             parse_method("spectral@zero")
         with pytest.raises(ValueError):
             parse_method("mystery")
+
+    @pytest.mark.parametrize("method, d, n, message", [
+        # A method that breaks several rules is refused by the first of them.
+        ("tensor", 3, 33, "need at least 4 variables, got 3"),
+        ("spectral@9", 4, 4, "spectral rank 9 exceeds state count 4"),
+        ("spectral@1100", 4, 1050, "spectral rank 1100 exceeds state count 1050"),
+        ("tensor", 4, 33, "33 states make quartet tensors of 1185921 bins, "
+                          "over the limit of 1048576"),
+        ("nj", 2000, 1025, "1025 states make pairwise tables of 1050625 bins, "
+                           "over the limit of 1048576"),
+        ("nj", 1000, 12, "1000 variables of 12 states make pairwise tables of 71928000 "
+                         "bins, over the limit of 67108864"),
+        ("spectral@2", 1000, 12, "1000 variables of 12 states make pairwise tables of "
+                                 "71928000 bins, over the limit of 67108864"),
+    ])
+    def test_check_method_refusals(self, method, d, n, message):
+        with pytest.raises(ValueError) as err:
+            check_method(method, d, n)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("method, d, n, parsed", [
+        ("oracle", 6, 1100, ("oracle", None)),  # the oracle counts no table
+        ("tensor", 10 ** 6, 32, ("tensor", None)),  # one quartet tensor at a time
+        ("nj", 1000, 11, ("nj", None)),
+        ("spectral@02", 4, 2, ("spectral", 2)),
+    ])
+    def test_check_method_admits(self, method, d, n, parsed):
+        assert check_method(method, d, n) == parsed
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

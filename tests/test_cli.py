@@ -92,8 +92,16 @@ class TestTreeBench:
                              "--n", str(n), "--k-range", "2,2", "--samples", "50",
                              "--trials", "1", "--methods", "tensor,nj",
                              "--out", str(tmp_path / f"t{n}.csv")]) == code
-        assert ("method 'nj' at d = 5, n = 4 holds pairwise tables of 160 bins, over the "
-                "limit of 100") in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: 5 variables of 4 states make pairwise "
+                                           "tables of 160 bins, over the limit of 100\n")
+
+    def test_oracle_counts_no_table(self, tmp_path):
+        # 1100^2 bins would be over the table limit, but the oracle reads the true tree.
+        out = tmp_path / "t.csv"
+        assert main(["tree-bench", "--d", "6", "--beta", "0.5", "--mu", "0.5",
+                     "--n", "1100", "--k-range", "2,2", "--samples", "20", "--trials", "1",
+                     "--methods", "oracle", "--out", str(out)]) == 0
+        assert [row[:4] for row in read_rows(out)[1]] == [["oracle", "20", "0", "0"]]
 
     def test_bad_k_range(self, tmp_path):
         code = main(["tree-bench", "--d", "6", "--beta", "0.5", "--mu", "0.5",
@@ -184,7 +192,10 @@ class TestBuild:
         out = tmp_path / "t.nwk"
         assert main(["build", "--input", str(csv), "--method", method,
                      "--out", str(out)]) == 3
-        assert "over the limit of 1048576" in capsys.readouterr().err
+        tables = (f"quartet tensors of {state ** 4}" if method == "tensor"
+                  else f"pairwise tables of {state ** 2}")
+        assert capsys.readouterr().err == (f"error: {state} states make {tables} bins, "
+                                           f"over the limit of 1048576\n")
         assert not out.exists()
 
     def test_state_count_at_table_limit_builds(self, tmp_path):
@@ -200,13 +211,13 @@ class TestBuild:
             samples = sample(random_tree_model(5, 0.5, n, 2, 0.5, 1), 500, 1)
             assert samples.n_states == n and samples.columns.max() == n - 1
             samples.to_csv(tmp_path / f"s{n}.csv")
-        with mock.patch.object(cli, "MAX_STACK_BINS", 100):
+        with mock.patch.object(bench, "MAX_STACK_BINS", 100):
             assert main(["build", "--input", str(tmp_path / "s3.csv"), "--method", method,
                          "--out", str(tmp_path / "t3.nwk")]) == 0
             assert main(["build", "--input", str(tmp_path / "s4.csv"), "--method", method,
                          "--out", str(tmp_path / "t4.nwk")]) == 3
-        assert (f"5 variables of 4 states make pairwise tables of 160 bins for method "
-                f"{method}, over the limit of 100") in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: 5 variables of 4 states make pairwise "
+                                           "tables of 160 bins, over the limit of 100\n")
         assert not (tmp_path / "t4.nwk").exists()
 
     def test_missing_file(self, tmp_path):
@@ -221,13 +232,26 @@ class TestBuild:
         assert f"cannot read {csv}: 'utf-8' codec can't decode" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_spectral_rank_over_state_count_is_usage_error(self, tmp_path, capsys):
+    def test_spectral_rank_over_state_count_is_data_error(self, tmp_path, capsys):
+        # The rank limit depends on the file's state count, as the table limits do.
         csv = tmp_path / "s.csv"
         csv.write_text("a,b,c,d\n1,2,1,2\n2,1,2,1\n")
         out = tmp_path / "t.nwk"
         assert main(["build", "--input", str(csv), "--method", "spectral@3",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: spectral rank 3 exceeds state count 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, message", [
+        ("bogus", "unknown method 'bogus'"),
+        ("spectral@x", "malformed method 'spectral@x'"),
+        ("spectral@0", "spectral rank must be >= 1, got 0")])
+    def test_unknown_method_is_usage_error(self, fixture_data, tmp_path, capsys,
+                                           method, message):
+        out = tmp_path / "t.nwk"
+        assert main(["build", "--input", str(fixture_data[1]), "--method", method,
                      "--out", str(out)]) == 2
-        assert "error: spectral rank 3 exceeds state count 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_oracle_not_allowed(self, tmp_path):
@@ -455,7 +479,8 @@ class TestOutOfRangeValues:
         argv = (QUARTET_ARGS if command == "quartet-bench" else TREE_ARGS)
         argv = argv + ["--n", "33", "--methods", method]
         self.assert_usage_error(argv, tmp_path / "b.csv", capsys,
-                                f"method {method!r} at n = 33 needs tables of 1185921 bins")
+                                "error: 33 states make quartet tensors of 1185921 bins, "
+                                "over the limit of 1048576\n")
 
 
     @pytest.mark.parametrize("command, option, value", [
@@ -470,6 +495,24 @@ class TestOutOfRangeValues:
         repeated = value.split(",")[0]
         self.assert_usage_error(argv, tmp_path / "o.csv", capsys,
                                 f"{option}: repeated entry {repeated} in {value!r}")
+
+    @pytest.mark.parametrize("command", ["quartet-bench", "tree-bench"])
+    def test_one_method_under_two_spellings(self, tmp_path, capsys, command):
+        # Both labels would name the same rows, so the run is refused.
+        argv = (QUARTET_ARGS if command == "quartet-bench" else TREE_ARGS)[:-1]
+        self.assert_usage_error(argv + ["spectral@2,nj,spectral@02"], tmp_path / "b.csv",
+                                capsys, "error: methods 'spectral@2' and 'spectral@02' "
+                                "are the same method\n")
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("quartet-bench", "--samples", ",", "sample grid must be nonempty positive counts"),
+        ("tree-bench", "--samples", ",", "sample grid must be nonempty positive counts"),
+        ("quartet-bench", "--trials", "0", "trials must be >= 1"),
+        ("tree-bench", "--trials", "0", "trials must be >= 1")])
+    def test_empty_grid_and_zero_trials(self, tmp_path, capsys, command, option, value,
+                                        message):
+        argv = (QUARTET_ARGS if command == "quartet-bench" else TREE_ARGS) + [option, value]
+        self.assert_usage_error(argv, tmp_path / "b.csv", capsys, f"error: {message}\n")
 
     def test_equal_k_range_bounds_are_valid(self, tmp_path):
         assert "2,2" in TREE_ARGS
@@ -547,6 +590,16 @@ class TestUnwritableOut:
                 assert exit_code(argv + ["--out", str(out)]) == 3
                 assert f"cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_is_a_directory(self, model_file, fixture_data, tmp_path, capsys, command):
+        # Its folder is writable, so the refusal comes when the output is opened.
+        out = tmp_path / "taken"
+        out.mkdir()
+        argv = command_args(command, model_file, fixture_data[1])
+        assert exit_code(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not (tmp_path / "taken.manifest.json").exists()
+
     def test_refused_command_leaves_existing_out(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("a,b,c,d\n1,1,x,1\n")
@@ -575,6 +628,20 @@ class TestErrorsEndInMain:
             assert exit_code(argv + ["--out", str(out)]) == code
             assert capsys.readouterr().err == f"error: {error}\n"
             assert not out.exists()
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        message = ("Unable to allocate 745. GiB for an array with shape "
+                   "(100000000000, 8) and data type int64")
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(bench, "sample", fail)
+        out = tmp_path / "t.csv"
+        assert exit_code(["tree-bench", "--d", "8", "--beta", "0.5", "--mu", "0.5",
+                          "--n", "3", "--k-range", "2,2", "--samples", "100000000000",
+                          "--trials", "1", "--methods", "nj", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_diagnose_numerical_error(self, model_file, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

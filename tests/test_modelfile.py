@@ -155,6 +155,26 @@ class TestErrors:
             "edge 4 0\nedge 4 1\nedge 4 5\nedge 5 2\nedge 5 3\n")
         assert read_model(path).d == 4
 
+    @pytest.mark.parametrize("line, replacement, message", [
+        ("states 2 2", "states 2", "states needs two integers: <n> <k> (line 1)"),
+        ("hidden 5", "hidden 5 6", "hidden needs <id> (line 7)"),
+        ("edge 5 3", "edge 5", "edge needs <u> <v> (line 12)"),
+        ("root 4", "root", "root needs <hidden-id> (line 13)"),
+        ("cpt 4 0", "cpt 4", "cpt needs <parent> <child> (line 15)"),
+        ("root 4", "root 0", "root 0 is not a declared hidden node"),
+        ("marginal 0.5 0.5", "", "parameterized model needs root and marginal"),
+    ])
+    def test_refused_directive(self, tmp_path, line, replacement, message):
+        lines = ["states 2 2", "leaf 0 a", "leaf 1 b", "leaf 2 c", "leaf 3 d", "hidden 4",
+                 "hidden 5", "edge 4 0", "edge 4 1", "edge 4 5", "edge 5 2", "edge 5 3",
+                 "root 4", "marginal 0.5 0.5", "cpt 4 0", "0.9 0.2", "0.1 0.8"]
+        lines[lines.index(line)] = replacement
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_model(path)
+        assert str(err.value) == message
+
 
 # Tokens a mutated model file may carry in place of a valid one.
 BAD_TOKENS = ["nan", "inf", "-1", "1e400", "9" * 5000, "bogus", "leaf", "cpt"]
