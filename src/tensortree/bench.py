@@ -461,7 +461,10 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
         def resolver(a, b, c, dd):
             return resolve_nuclear(empirical_quartet_tensor(samples, (a, b, c, dd)))
     else:
-        table = functools.cache(lambda i, j: empirical_pairwise(samples, i, j))
+        counted = functools.cache(lambda i, j: empirical_pairwise(samples, i, j))
+
+        def table(i, j):  # one count per unordered pair; its transpose is bitwise equal
+            return counted(i, j) if i < j else counted(j, i).T
 
         def resolver(a, b, c, dd):
             ids = (a, b, c, dd)

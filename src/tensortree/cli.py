@@ -68,15 +68,15 @@ _positive_int = _int_at_least(1, "positive")
 _seed = _int_at_least(0, "non-negative")
 
 
-def _int_list(text: str) -> list[int]:
-    return [_positive_int(x) for x in text.split(",") if x.strip()]
+def _list(item):
+    """A comma list of ``item(entry)`` over its non-blank entries."""
+    return lambda text: [item(x) for x in text.split(",") if x.strip()]
 
 
 def _distinct(item):
-    """A comma list of ``item(entry)`` over its non-blank entries, refusing a
-    repeated entry, which would write the same rows twice."""
+    """``_list(item)``, refusing a repeated entry, which would write the same rows twice."""
     def parse(text: str) -> list:
-        values = [item(x) for x in text.split(",") if x.strip()]
+        values = _list(item)(text)
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise argparse.ArgumentTypeError(f"repeated entry {repeated[0]} in {text!r}")
@@ -138,7 +138,7 @@ def make_parser() -> argparse.ArgumentParser:
     qb.add_argument("--samples", type=_distinct(_positive_int), required=True,
                     help="comma-separated sample sizes, e.g. 50,200,2000")
     qb.add_argument("--trials", type=int, required=True)
-    qb.add_argument("--methods", type=_distinct(str.strip), required=True,
+    qb.add_argument("--methods", type=_list(str.strip), required=True,
                     help="comma-separated: tensor, spectral@K, nj, oracle")
     _add_common(qb)
 
@@ -146,13 +146,13 @@ def make_parser() -> argparse.ArgumentParser:
                          help="tree-recovery benchmark on synthetic models")
     tb.add_argument("--d", type=int, required=True, help="leaf count")
     tb.add_argument("--beta", type=float, required=True, help="split parameter")
-    tb.add_argument("--k-range", type=_int_list, default=[2, 8],
+    tb.add_argument("--k-range", type=_list(_positive_int), default=[2, 8],
                     help="hidden cardinality range lo,hi (default 2,8)")
     tb.add_argument("--n", type=int, default=10, help="observed state count")
     tb.add_argument("--mu", type=float, required=True, help="perturbation level")
     tb.add_argument("--samples", type=_distinct(_positive_int), required=True)
     tb.add_argument("--trials", type=int, required=True)
-    tb.add_argument("--methods", type=_distinct(str.strip), required=True)
+    tb.add_argument("--methods", type=_list(str.strip), required=True)
     tb.add_argument("--hidden-base", choices=("independent", "identity"),
                     default="independent",
                     help="base table for hidden-to-hidden edges")

@@ -388,15 +388,17 @@ def _inverse_cdf(cpt, parent_states: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _frequencies(samples: SampleSet, idx: tuple[int, ...]) -> np.ndarray:
-    """Relative-frequency table of columns ``idx``, one axis of length n_states each."""
+    """Relative-frequency table of columns ``idx``, one axis of length n_states each, one
+    ``np.bincount`` of a flat code in the smallest unsigned dtype holding n^k - 1."""
     if min(idx) < 0 or max(idx) >= samples.d:
         raise ValueError(f"column index out of range 0..{samples.d - 1}")
-    n = samples.n_states
-    cols = samples.columns[list(idx)]
-    flat = cols[0].astype(np.intp)  # the flat index overflows the store's dtype
-    for c in cols[1:]:
-        flat = flat * n + c
-    return np.bincount(flat, minlength=n ** len(idx)).reshape((n,) * len(idx)) / samples.m
+    n, k = samples.n_states, len(idx)
+    dtype = np.min_scalar_type(n ** k - 1)
+    flat = samples.columns[idx[0]].astype(dtype if dtype.itemsize <= 4 else np.intp)
+    for i in idx[1:]:
+        flat *= n
+        flat += samples.columns[i]
+    return np.bincount(flat, minlength=n ** k).reshape((n,) * k) / samples.m
 
 
 def empirical_quartet_tensor(samples: SampleSet, idx: Sequence[int]) -> JointTensor4:

@@ -462,6 +462,40 @@ class TestRecover:
             assert to_newick(recover(samples, method, 7, truth=truth)) == newick
         assert self.GOLDEN["oracle"] == to_newick(truth)
 
+    def test_spectral_counts_each_pair_once(self, monkeypatch):
+        # Each unordered pair is counted once, as (i, j) with i < j, and every
+        # resolver call still sees the stack counted in the quartet's own order.
+        samples = sample(random_tree_model(12, 0.5, 4, 3, 0.5, 5, hidden_base="identity"),
+                         2000, 6)
+        count, resolve = bench.empirical_pairwise, bench.resolve_spectral_k
+        build = bench.build_tree
+        calls, stacks, quartets = [], [], []
+
+        def counting(s, i, j):
+            calls.append((i, j))
+            return count(s, i, j)
+
+        def resolving(tables, k):
+            stacks.append(tables)
+            return resolve(tables, k)
+
+        def building(resolver, *args, **kwargs):
+            def recording(*ids):
+                quartets.append(ids)
+                return resolver(*ids)
+            return build(recording, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "empirical_pairwise", counting)
+        monkeypatch.setattr(bench, "resolve_spectral_k", resolving)
+        monkeypatch.setattr(bench, "build_tree", building)
+        recover(samples, "spectral@2", 7)
+        assert calls and all(i < j for i, j in calls)
+        assert len(set(calls)) == len(calls)
+        assert stacks and len(stacks) == len(quartets)
+        for ids, stack in zip(quartets, stacks):
+            want = np.stack([count(samples, ids[i - 1], ids[j - 1]) for i, j in PAIR_KEYS])
+            assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+
     def test_oracle_needs_truth(self):
         samples = sample(random_tree_model(4, 0.5, 3, 2, 0.5, 1), 10, 2)
         with pytest.raises(ValueError):

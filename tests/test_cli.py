@@ -490,11 +490,14 @@ class TestOutOfRangeValues:
         ("diagnose", "--samples", "100,100")])
     def test_repeated_entry(self, model_file, fixture_data, tmp_path, capsys, command,
                             option, value):
-        # A repeated entry would write the same rows, or report lines, twice.
+        # A repeated entry would write the same rows, or report lines, twice.  A
+        # repeated method is refused by the config, like two spellings of one method.
         argv = command_args(command, model_file, fixture_data[1]) + [option, value]
         repeated = value.split(",")[0]
-        self.assert_usage_error(argv, tmp_path / "o.csv", capsys,
-                                f"{option}: repeated entry {repeated} in {value!r}")
+        message = (f"methods {repeated!r} and {repeated!r} are the same method"
+                   if option == "--methods" else
+                   f"{option}: repeated entry {repeated} in {value!r}")
+        self.assert_usage_error(argv, tmp_path / "o.csv", capsys, message)
 
     @pytest.mark.parametrize("command", ["quartet-bench", "tree-bench"])
     def test_one_method_under_two_spellings(self, tmp_path, capsys, command):

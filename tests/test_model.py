@@ -343,19 +343,36 @@ def reference_counts(rows, idx, n):
 
 class TestCountsMatchReference:
     # n = 17: n^2 > 255 and n^4 > 65,535, so a flat index in the store's
-    # uint8 (or a uint16) would wrap.
-    @pytest.mark.parametrize("n", [2, 3, 17])
+    # uint8 (or a uint16) would wrap; n = 16 is the last n whose quartet code
+    # fits a uint16.  The kernel writes only its own copy of a column.
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
     def test_bitwise_equal(self, n):
         rng = np.random.default_rng(n)
         m = 3000
         rows = rng.integers(1, n + 1, size=(m, 6))
         s = SampleSet(rows=rows, variable_names=list("abcdef"), n_states=n)
+        before = s.columns.copy()
         for _ in range(10):
             idx = tuple(int(i) for i in rng.choice(6, size=4, replace=False))
             want = reference_counts(rows, idx, n) / m
             assert np.array_equal(empirical_quartet_tensor(s, idx).values, want)
             assert np.array_equal(empirical_pairwise(s, *idx[:2]),
                                   reference_counts(rows, idx[:2], n) / m)
+        assert np.array_equal(s.columns, before)
+
+    # The flat code's dtype edges: n^2 - 1 passes 255 from n = 16 to 17 and 65,535
+    # from 256 to 257, and n = 256 also stores the columns as uint16.  Two rows of
+    # state n put the largest code in every table, so a wrapped code would show.
+    @pytest.mark.parametrize("n", [1, 16, 17, 256, 257])
+    def test_pairs_at_dtype_edges(self, n):
+        rows = np.random.default_rng(n).integers(1, n + 1, size=(2000, 4))
+        rows[:2] = n
+        s = SampleSet(rows=rows, variable_names=list("abcd"), n_states=n)
+        before = s.columns.copy()
+        for i, j in itertools.permutations(range(4), 2):
+            assert np.array_equal(empirical_pairwise(s, i, j),
+                                  reference_counts(rows, (i, j), n) / len(rows))
+        assert np.array_equal(s.columns, before)
 
     def test_column_store_dtype(self):
         s = SampleSet(rows=np.array([[1, 300, 1, 2]]), variable_names=list("abcd"),
