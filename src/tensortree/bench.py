@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,31 +126,6 @@ def random_quartet_model(k_h: int, k_g: int, n: int, mu: float, seed) -> Quartet
     obs = (perturbed_cpt(n, k_h, mu, rng), perturbed_cpt(n, k_h, mu, rng),
            perturbed_cpt(n, k_g, mu, rng), perturbed_cpt(n, k_g, mu, rng))
     return QuartetModel(joint_hidden=joint, obs_cpts=obs)
-
-
-def with_dependence_scaled(model: QuartetModel, scale: float) -> QuartetModel:
-    """Shrink the hidden-edge deviation from independence by ``scale`` in [0, 1]."""
-    if not 0.0 <= scale <= 1.0:
-        raise ValueError(f"scale must lie in [0, 1], got {scale}")
-    p_h, p_g = model.hidden_marginals()
-    independent = np.outer(p_h, p_g)
-    joint = independent + scale * (model.joint_hidden - independent)
-    return replace(model, joint_hidden=joint)
-
-
-# Fraction of the population-correctness threshold a rescaled hidden edge keeps.
-DEPENDENCE_SAFETY = 0.9
-
-
-def dependence_limited_model(k_h: int, k_g: int, n: int, mu: float, seed) -> QuartetModel:
-    """A random quartet model rescaled so the hidden-edge deviation stays below
-    the population-correctness threshold of the nuclear test."""
-    model = random_quartet_model(k_h, k_g, n, mu, seed)
-    diag = diagnostics(model)
-    limit = DEPENDENCE_SAFETY * diag.theta_min / (diag.k ** 2 + diag.k)
-    if diag.delta > limit > 0:
-        model = with_dependence_scaled(model, limit / diag.delta)
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ all user-facing data (samples, CSV); arrays are 0-based internally.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import InitVar, dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -249,7 +250,7 @@ def pairwise_distribution(tree: LatentTree, i: int, j: int) -> np.ndarray:
 # Sampling and empirical tables
 # ---------------------------------------------------------------------------
 
-_CSV_CHUNK_LINES = 16_384  # data lines per np.loadtxt call in SampleSet.from_csv
+_CSV_CHUNK_CHARS = 2 ** 16  # characters per block of lines in SampleSet.from_csv
 _ONE_HOT_ENTRIES = 2 ** 19  # float32 entries (2 MiB) per block of empirical_pairwise_stack
 NEWICK_RESERVED = frozenset("(),;: \t\n")  # characters no leaf or variable name may hold
 
@@ -289,7 +290,8 @@ class SampleSet:
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
-        """numpy parses chunks of data lines; a line loop reads on from one it refuses."""
+        """Blocks of whole lines, about ``_CSV_CHUNK_CHARS`` characters each, go to
+        ``_parse_digits``, else ``np.loadtxt``; from one both refuse, a line loop reads on."""
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not a name
             header = fh.readline().strip()
             if not header:
@@ -302,19 +304,19 @@ class SampleSet:
                 if problem:
                     raise ParseError(f"variable name {name!r} {problem}", line=1)
                 seen.add(name)
-            blocks = []
-            while lines := list(islice(fh, _CSV_CHUNK_LINES)):
+            blocks, lineno = [], 2
+            while lines := fh.readlines(_CSV_CHUNK_CHARS):
                 data = [line for line in lines if line != "\n"]  # numpy warns on blanks
-                try:  # numpy is stricter than int(); max_rows sizes its array once
-                    block = np.loadtxt(data, delimiter=",", dtype=np.int64, ndmin=2,
-                                       comments=None, max_rows=len(data)) if data else None
-                except ValueError:
-                    block = None
+                block = _parse_digits("".join(data), len(names))
+                with suppress(ValueError):  # numpy is stricter than int()
+                    if block is None and data:  # max_rows sizes numpy's array once
+                        block = np.loadtxt(data, delimiter=",", dtype=np.int64, ndmin=2,
+                                           comments=None, max_rows=len(data))
                 if block is None or block.shape[1] != len(names):  # the loop reads the rest
-                    start = 2 + len(blocks) * _CSV_CHUNK_LINES  # earlier chunks were full
-                    block = _parse_csv_lines(chain(lines, fh), start, len(names))
+                    block = _parse_csv_lines(chain(lines, fh), lineno, len(names))
+                lineno += len(lines)
                 if block.min(initial=1) >= 1:  # narrowed now, no int64 copy of the file is kept
-                    block = block.astype(np.min_scalar_type(block.max(initial=1)))
+                    block = block.astype(np.min_scalar_type(block.max(initial=1)), copy=False)
                 blocks.append(block)
         if not any(len(b) for b in blocks):
             raise ParseError("sample file has no data rows", line=2)
@@ -322,6 +324,23 @@ class SampleSet:
         if arr.min() < 1:
             raise ParseError("states must be 1-based positive integers")
         return cls(rows=arr, variable_names=names, n_states=int(arr.max()))
+
+
+def _parse_digits(text: str, width: int) -> np.ndarray | None:
+    """Rows of ``text`` if each line is ``width`` comma-separated runs of 1 or 2 ASCII digits,
+    else None: the two bytes before each field's end are its tens and units, a separator as 0."""
+    pad = 3  # newlines ahead of the first field keep every gather in range; "?" is no digit
+    b = np.frombuffer(("\n" * pad + text.rstrip("\n") + "\n").encode("ascii", "replace"), "u1")
+    rows = np.count_nonzero(b == 10) - pad  # byte counts refuse most other spellings cheaply
+    if (b.max() > 57 or np.count_nonzero(b < 48) != pad + rows * width
+            or np.count_nonzero(b == 44) != rows * (width - 1)):
+        return None
+    stops = np.flatnonzero(b[pad - 1:] < 48)  # the last pad newline, then each field's end
+    ends, gaps = stops[1:], np.diff(stops)  # a gap is one more than its field's digits
+    if not 2 <= gaps.min() <= gaps.max() <= 3 or (b[pad - 1:].take(stops[::width]) != 10).any():
+        return None
+    values = (np.maximum(b[pad - 3:].take(ends), 48) - 48) * 10 + b[pad - 2:].take(ends) - 48
+    return values.reshape(rows, width)
 
 
 def _parse_csv_lines(lines: Iterable[str], lineno: int, width: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Reference code shared by the tests: plain graph searches written apart from
 the one orientation ``LatentTree`` keeps, a caterpillar tree, bench means that
-refuse NaN outcomes, ancestral sampling that keeps every node's states, and
-the Khatri-Rao product and numerical rank of the acceptance suite."""
+refuse NaN outcomes, ancestral sampling that keeps every node's states, the
+Khatri-Rao product and numerical rank of the acceptance suite, and quartet
+models whose hidden-edge dependence is scaled down."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from tensortree.bench import QuartetModel, diagnostics, random_quartet_model
 from tensortree.model import LatentTree, SampleSet
 from tensortree.tensors import QuartetRelation
 
@@ -131,3 +134,28 @@ def reference_sample(tree, m, seed):
     rows = np.stack([states[v] + 1 for v in leaves], axis=1)
     return SampleSet(rows=rows, variable_names=[tree.leaf_names[v] for v in leaves],
                      n_states=p.n)
+
+
+def with_dependence_scaled(model: QuartetModel, scale: float) -> QuartetModel:
+    """Shrink the hidden-edge deviation from independence by ``scale`` in [0, 1]."""
+    if not 0.0 <= scale <= 1.0:
+        raise ValueError(f"scale must lie in [0, 1], got {scale}")
+    p_h, p_g = model.hidden_marginals()
+    independent = np.outer(p_h, p_g)
+    joint = independent + scale * (model.joint_hidden - independent)
+    return replace(model, joint_hidden=joint)
+
+
+# Fraction of the population-correctness threshold a rescaled hidden edge keeps.
+DEPENDENCE_SAFETY = 0.9
+
+
+def dependence_limited_model(k_h: int, k_g: int, n: int, mu: float, seed) -> QuartetModel:
+    """A random quartet model rescaled so the hidden-edge deviation stays below
+    the population-correctness threshold of the nuclear test."""
+    model = random_quartet_model(k_h, k_g, n, mu, seed)
+    diag = diagnostics(model)
+    limit = DEPENDENCE_SAFETY * diag.theta_min / (diag.k ** 2 + diag.k)
+    if diag.delta > limit > 0:
+        model = with_dependence_scaled(model, limit / diag.delta)
+    return model

@@ -12,17 +12,17 @@ from tensortree import (JointTensor4, QuartetRelation, build_tree,
                         pairwise_distribution, resolve_nuclear, resolve_oracle,
                         robinson_foulds, to_newick)
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
-                              dependence_limited_model, diagnostics,
+                              diagnostics,
                               pairwise_tables, parameterize, perturbed_cpt,
                               random_quartet_model, random_topology,
-                              random_tree_model, run_quartet_experiment,
-                              with_dependence_scaled)
+                              random_tree_model, run_quartet_experiment)
 from tensortree.cli import main as cli_main
 from tensortree.metrics import bipartitions
 from tensortree.model import sample
 from tensortree.tensors import nuclear_norm, unfold
 
-from helpers import khatri_rao, mean_outcomes, numerical_rank
+from helpers import (dependence_limited_model, khatri_rao, mean_outcomes, numerical_rank,
+                     with_dependence_scaled)
 
 
 def report(label, ok, detail):

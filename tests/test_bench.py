@@ -10,13 +10,12 @@ import pytest
 
 from tensortree import QuartetRelation, bench, resolve_nuclear, to_newick
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
-                              TreeExperimentConfig, check_method, dependence_limited_model,
+                              TreeExperimentConfig, check_method,
                               diagnostics, identity_base, pairwise_tables, parameterize, parse_method,
                               perturb_stochastic, perturbed_cpt,
                               random_quartet_model, random_topology,
                               random_tree_model, recover, result_csv,
-                              run_quartet_experiment, run_tree_experiment,
-                              with_dependence_scaled)
+                              run_quartet_experiment, run_tree_experiment)
 from tensortree.exceptions import ModelError
 from tensortree.model import (LatentTree, TreeParameters, exact_quartet_distribution,
                               sample)
@@ -24,7 +23,8 @@ from tensortree.nj import INFINITE_SENTINEL, additive_distance
 from tensortree.resolvers import PAIR_KEYS, resolve_oracle
 from tensortree.tensors import nuclear_norm, unfold
 
-from helpers import mean_outcomes, recursive_random_topology
+from helpers import (dependence_limited_model, mean_outcomes, recursive_random_topology,
+                     with_dependence_scaled)
 
 
 class TestPerturbedCpt:

@@ -147,6 +147,15 @@ class TestBuild:
             newick.append(out.read_text())
         assert "\ufeff" not in newick[1] and newick[0] == newick[1]
 
+    def test_manifest_times_the_read_and_sizes_the_samples(self, fixture_data, tmp_path):
+        _, csv = fixture_data
+        out = tmp_path / "tree.nwk"
+        assert main(["build", "--input", str(csv), "--method", "nj", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "tree.nwk.manifest.json").read_text())
+        assert manifest["samples"] == {"rows": 20000, "columns": 8, "states": 6}
+        assert manifest["read_seconds"] >= 0 and manifest["elapsed_seconds"] >= 0
+        assert {"subcommand", "config", "seed", "version"} <= set(manifest)
+
     def test_too_few_variables(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("a,b,c\n1,1,1\n2,2,2\n")
@@ -564,6 +573,20 @@ class TestBenchErrorCounts:
         assert [r[:3] for r in failed_rows] == [r[:3] for r in rows]
         assert [r[3] for r in failed_rows] == ["nan" if r[0] == failing else r[3]
                                                for r in rows]
+
+    def test_failed_trials_warn_and_exit_zero(self, tmp_path, monkeypatch, capsys):
+        argv = QUARTET_ARGS[:-1] + ["tensor,spectral@2,oracle"]
+        assert self.run(argv, tmp_path / "a.csv")[2] == dict.fromkeys(argv[-1].split(","), 0)
+        assert capsys.readouterr().err == ""
+
+        def fail(*args, **kwargs):
+            raise NumericalError("SVD did not converge")
+        monkeypatch.setattr(bench, "resolve_nuclear", fail)
+        monkeypatch.setattr(bench, "resolve_spectral_k", fail)
+        errors = self.run(argv, tmp_path / "b.csv")[2]  # asserts exit 0
+        assert errors == {"tensor": 2, "spectral@2": 2, "oracle": 0}
+        assert capsys.readouterr().err == ("warning: failed trials, written with outcome "
+                                           "nan: tensor 2, spectral@2 2\n")
 
 
 class TestUnwritableOut:

@@ -405,12 +405,12 @@ class TestColumnStore:
         assert np.array_equal(back.columns, s.columns)
 
     def test_chunks_of_different_dtypes(self, tmp_path):
-        # Chunks of two lines narrow to uint8, uint16 and uint32; the line
-        # loop reads the last chunk ("+3").
+        # Blocks of 8 characters narrow to uint8, uint16 and uint32;
+        # np.loadtxt reads the blocks with 300, 70000 and "+3".
         lines = ["1,2", "3,1", "2,300", "1,1", "70000,1", "+3,1"]
         path = tmp_path / "s.csv"
         path.write_text("a,b\n" + "\n".join(lines) + "\n")
-        with mock.patch.object(model, "_CSV_CHUNK_LINES", 2):
+        with mock.patch.object(model, "_CSV_CHUNK_CHARS", 8):
             s = SampleSet.from_csv(path)
         assert s.columns.dtype == np.uint32 and s.n_states == 70000
         assert (s.columns.T + 1).tolist() == [[1, 2], [3, 1], [2, 300], [1, 1],
@@ -577,7 +577,8 @@ ODD_CELLS = ["+1", " 1 ", "1_0", "#", "-1", "0", str(2 ** 63), str(2 ** 63 - 1),
 @st.composite
 def csv_texts(draw):
     width = draw(st.integers(1, 3))
-    good = st.lists(st.sampled_from(["1", "2", "3", "12"]),
+    good = st.lists(st.sampled_from(["1", "2", "3", "12", "007", "300", str(10 ** 18 - 1),
+                                     str(2 ** 63 - 1)]),
                     min_size=width, max_size=width).map(",".join)
     odd = st.lists(st.sampled_from(ODD_CELLS + ["1", "2"]),
                    min_size=1, max_size=4).map(",".join)  # often ragged
@@ -593,15 +594,15 @@ class TestCsvReader:
     """The chunked reader against the one-loop reference: equal rows and
     n_states, or the same ParseError message and line."""
 
-    def check(self, path, text, chunk=4):
+    def check(self, path, text, chunk=16):
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(model, "_CSV_CHUNK_LINES", chunk):
+        with mock.patch.object(model, "_CSV_CHUNK_CHARS", chunk):
             got = read_outcome(SampleSet.from_csv, path)
         assert got == read_outcome(reference_from_csv, path)
         return got
 
     @settings(max_examples=400, deadline=None)
-    @given(text=csv_texts(), chunk=st.integers(1, 5))
+    @given(text=csv_texts(), chunk=st.integers(1, 20))
     def test_matches_reference(self, tmp_path_factory, text, chunk):
         path = tmp_path_factory.mktemp("csv") / "s.csv"
         self.check(path, text, chunk)
@@ -629,7 +630,7 @@ class TestCsvReader:
         s = sample(small_tree, 50, 3)
         path = tmp_path / "s.csv"
         s.to_csv(path)
-        with mock.patch.object(model, "_CSV_CHUNK_LINES", 7):
+        with mock.patch.object(model, "_CSV_CHUNK_CHARS", 64):
             back = SampleSet.from_csv(path)
         assert np.array_equal(back.columns, s.columns) and back.n_states == s.n_states
 
@@ -639,6 +640,55 @@ class TestCsvReader:
     def test_blank_lines_warn_nothing(self, tmp_path, text):
         got = self.check(tmp_path / "s.csv", text, chunk=2)
         assert got == ("ok", [[1, 2], [2, 1], [1, 1]], 2, ["a", "b"])
+
+    @pytest.mark.parametrize("text, error", [
+        ("a,b\n1,2\n1,2,3\n4\n", "expected 2 fields, got 3 (line 3)"),
+        ("a,b\n1,2\n1 2\n", "expected 2 fields, got 1 (line 3)")])
+    def test_separators_that_add_up_but_misplaced(self, tmp_path, text, error):
+        # Each block holds as many commas and newlines (the first) or separators
+        # (the second) as two good rows, but not where they belong.
+        got = self.check(tmp_path / "s.csv", text)
+        assert got[:2] == ("error", error)
+
+
+class TestCsvTiers:
+    """Which reader reads a block: plain digit fields take the byte parser, other
+    spellings numpy accepts take np.loadtxt, and only the rest the line loop."""
+
+    @pytest.mark.parametrize("chunk", [64, 2 ** 16])
+    @pytest.mark.parametrize("n", [9, 10, 99])
+    def test_written_files_take_the_digit_parser(self, tmp_path, n, chunk):
+        rows = np.random.default_rng(n).integers(1, n + 1, size=(400, 5))
+        rows[0, 0], rows[1, 1] = 1, n
+        path = tmp_path / "s.csv"
+        SampleSet(rows=rows, variable_names=list("abcde"), n_states=n).to_csv(path)
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt")), \
+                mock.patch.object(model, "_parse_csv_lines", side_effect=AssertionError("loop")), \
+                mock.patch.object(model, "_CSV_CHUNK_CHARS", chunk):
+            back = SampleSet.from_csv(path)
+        assert np.array_equal(back.columns.T + 1, rows) and back.n_states == n
+
+    @pytest.mark.parametrize("text, rows", [
+        ("a,b\n1, 2\n2, 1\n", [[1, 2], [2, 1]]),
+        ("a,b\n1,2\n+3,1\n", [[1, 2], [3, 1]]),
+        ("a,b\n1,300\n2,1\n", [[1, 300], [2, 1]]),
+        (f"a,b\n1,{10 ** 18 - 1}\n007,2\n", [[1, 10 ** 18 - 1], [7, 2]]),
+        (f"a,b\n1,2\n{2 ** 63 - 1},1\n", [[1, 2], [2 ** 63 - 1, 1]])])
+    def test_other_spellings_reach_numpy_not_the_loop(self, tmp_path, text, rows):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(model, "_parse_csv_lines", side_effect=AssertionError("loop")):
+            back = SampleSet.from_csv(path)
+        assert loadtxt.call_count == 1
+        assert (back.columns.T.astype(object) + 1).tolist() == rows
+
+    def test_leading_zero_takes_the_digit_parser(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\n1,99\n07,2\n")
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt")):
+            back = SampleSet.from_csv(path)
+        assert (back.columns.T + 1).tolist() == [[1, 99], [7, 2]]
 
 
 class TestTreeStructure:

@@ -8,7 +8,7 @@ import pytest
 from tensortree import (JointTensor4, QuartetRelation, quartet_tree,
                         resolve_nuclear, resolve_oracle, resolve_spectral_k,
                         resolvers)
-from tensortree.bench import (dependence_limited_model, diagnostics,
+from tensortree.bench import (diagnostics,
                               pairwise_tables, random_quartet_model,
                               random_topology)
 from tensortree.exceptions import ModelError
@@ -16,7 +16,7 @@ from tensortree.resolvers import (TIE_RTOL, QuartetVerdict, _decide, four_point,
                                   gram_scores)
 from tensortree.tensors import nuclear_norm, spectral, unfold
 
-from helpers import dfs_path
+from helpers import dependence_limited_model, dfs_path
 
 # How the three pairings map onto each other when two variables are swapped.
 _SWAP_23 = {QuartetRelation.PAIR_12_34: QuartetRelation.PAIR_13_24,
