@@ -16,6 +16,7 @@ Seeds are non-negative integers; TENSORTREE_SEED overrides the default of 0
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -241,11 +242,8 @@ def cmd_diagnose(args) -> int:
         raise Refusal(EXIT_DATA, str(exc)) from None
     t0 = time.perf_counter()
     diag = diagnostics(model, max_quartets=args.max_quartets, seed=args.seed)
-    fields = [("theta_min", diag.theta_min), ("gamma_min", diag.gamma_min),
-              ("alpha_min", diag.alpha_min), ("delta", diag.delta),
-              ("margins_preserved_ok", diag.margins_preserved_ok),
-              ("edge_bound_ok", diag.edge_bound_ok),
-              ("combined_bound_ok", diag.combined_bound_ok)]
+    fields = [(f.name, getattr(diag, f.name)) for f in dataclasses.fields(diag)
+              if f.name not in ("k", "d")]
     for m in args.samples:
         fields += [(f"quartet_success_bound(m={m})", diag.quartet_success_bound(m)),
                    (f"tree_success_bound(m={m})", diag.tree_success_bound(m))]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import InitVar, dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -251,6 +251,7 @@ def pairwise_distribution(tree: LatentTree, i: int, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK_CHARS = 2 ** 16  # characters per block of lines in SampleSet.from_csv
+_CSV_WRITE_ENTRIES = 2 ** 16  # states per block of rows in SampleSet.to_csv
 _ONE_HOT_ENTRIES = 2 ** 19  # float32 entries (2 MiB) per block of empirical_pairwise_stack
 NEWICK_RESERVED = frozenset("(),;: \t\n")  # characters no leaf or variable name may hold
 
@@ -284,14 +285,16 @@ class SampleSet:
         return self.columns.shape[0]
 
     def to_csv(self, path) -> None:
+        row, step = ",".join(["%d"] * self.d) + "\n", max(1, _CSV_WRITE_ENTRIES // self.d)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(self.variable_names) + "\n")
-            np.savetxt(fh, self.columns.T + 1, fmt="%d", delimiter=",")
+            for block in np.split(self.columns.T, range(step, self.m, step)):
+                fh.write(row * len(block) % tuple((block + 1).ravel().tolist()))  # = np.savetxt
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
-        """Blocks of whole lines, about ``_CSV_CHUNK_CHARS`` characters each, go to
-        ``_parse_digits``, else ``np.loadtxt``; from one both refuse, a line loop reads on."""
+        """Blocks of whole lines, about ``_CSV_CHUNK_CHARS`` characters, go to ``_parse_digits``,
+        else ``np.loadtxt``; one both refuse, or with a state below 1, goes to the line loop."""
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not a name
             header = fh.readline().strip()
             if not header:
@@ -312,17 +315,13 @@ class SampleSet:
                     if block is None and data:  # max_rows sizes numpy's array once
                         block = np.loadtxt(data, delimiter=",", dtype=np.int64, ndmin=2,
                                            comments=None, max_rows=len(data))
-                if block is None or block.shape[1] != len(names):  # the loop reads the rest
-                    block = _parse_csv_lines(chain(lines, fh), lineno, len(names))
-                lineno += len(lines)
-                if block.min(initial=1) >= 1:  # narrowed now, no int64 copy of the file is kept
-                    block = block.astype(np.min_scalar_type(block.max(initial=1)), copy=False)
-                blocks.append(block)
+                if block is None or block.shape[1] != len(names) or block.min(initial=1) < 1:
+                    block = _parse_csv_lines(lines, lineno, len(names))
+                lineno += len(lines)  # each block is narrowed: no int64 copy of the file is kept
+                blocks.append(block.astype(np.min_scalar_type(block.max(initial=1)), copy=False))
         if not any(len(b) for b in blocks):
             raise ParseError("sample file has no data rows", line=2)
         arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        if arr.min() < 1:
-            raise ParseError("states must be 1-based positive integers")
         return cls(rows=arr, variable_names=names, n_states=int(arr.max()))
 
 
@@ -344,7 +343,8 @@ def _parse_digits(text: str, width: int) -> np.ndarray | None:
 
 
 def _parse_csv_lines(lines: Iterable[str], lineno: int, width: int) -> np.ndarray:
-    """Sample rows, one ``int()`` per field, from lines numbered from ``lineno``."""
+    """Rows of ``lines``, numbered from ``lineno``, one ``int()`` per field; the first line with
+    the wrong field count, a field ``int()`` refuses or a state outside 1..2^63 - 1 is named."""
     rows = []
     for lineno, line in enumerate(lines, start=lineno):
         if not (line := line.strip()):
@@ -353,13 +353,13 @@ def _parse_csv_lines(lines: Iterable[str], lineno: int, width: int) -> np.ndarra
         if len(parts) != width:
             raise ParseError(f"expected {width} fields, got {len(parts)}", line=lineno)
         try:
-            rows.append([int(p) for p in parts])
+            rows.append(row := [int(p) for p in parts])
         except ValueError:
             raise ParseError("non-integer state value", line=lineno) from None
-    try:
-        return np.array(rows, dtype=np.int64).reshape(-1, width)
-    except OverflowError:
-        raise ParseError("state value does not fit in a 64-bit integer") from None
+        if not 0 < min(row) <= max(row) < 2 ** 63:
+            raise ParseError("states must be 1-based positive integers" if min(row) < 1 else
+                             "state value does not fit in a 64-bit integer", line=lineno)
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
 def sample(tree: LatentTree, m: int, seed) -> SampleSet:

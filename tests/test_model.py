@@ -1,5 +1,6 @@
 """Unit tests for latent tree models, exact marginals, and sampling."""
 
+import io
 import itertools
 import tracemalloc
 from unittest import mock
@@ -528,9 +529,22 @@ class TestSampleCsv:
             SampleSet.from_csv(path)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("m", [1, 700])  # 700 rows are 34 blocks of 21
+    @pytest.mark.parametrize("n", [2, 10, 99, 100, 256, 2 ** 63 - 1])
+    def test_writes_the_bytes_of_savetxt(self, tmp_path, n, m):
+        rows = np.random.default_rng(m).integers(1, n, size=(m, 3), endpoint=True)
+        rows[0, 0] = n
+        s = SampleSet(rows=rows, variable_names=list("abc"), n_states=n)
+        with mock.patch.object(model, "_CSV_WRITE_ENTRIES", 64):
+            s.to_csv(tmp_path / "s.csv")
+        expected = io.StringIO()
+        np.savetxt(expected, s.columns.T + 1, fmt="%d", delimiter=",")
+        assert (tmp_path / "s.csv").read_bytes() == b"a,b,c\n" + expected.getvalue().encode()
+
 
 def reference_from_csv(path) -> SampleSet:
-    """The reader as one ``int()`` loop over all lines, before chunked parsing."""
+    """The reader as one ``int()`` loop over all lines, before chunked parsing: the first
+    faulty line, in file order, is reported with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -546,17 +560,17 @@ def reference_from_csv(path) -> SampleSet:
                 raise ParseError(
                     f"expected {len(names)} fields, got {len(parts)}", line=lineno)
             try:
-                rows.append([int(p) for p in parts])
+                row = [int(p) for p in parts]
             except ValueError:
                 raise ParseError("non-integer state value", line=lineno) from None
+            if min(row) < 1:
+                raise ParseError("states must be 1-based positive integers", line=lineno)
+            if max(row) >= 2 ** 63:
+                raise ParseError("state value does not fit in a 64-bit integer", line=lineno)
+            rows.append(row)
     if not rows:
         raise ParseError("sample file has no data rows", line=2)
-    try:
-        arr = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        raise ParseError("state value does not fit in a 64-bit integer") from None
-    if arr.min() < 1:
-        raise ParseError("states must be 1-based positive integers")
+    arr = np.asarray(rows, dtype=np.int64)
     return SampleSet(rows=arr, variable_names=names, n_states=int(arr.max()))
 
 
@@ -620,11 +634,11 @@ class TestCsvReader:
         lines[1], lines[9] = "1,x", "1"
         got = self.check(tmp_path / "s.csv", "a,b\n" + "\n".join(lines) + "\n")
         assert got == ("error", "non-integer state value (line 3)", 3)
-        # An overflow is found after the whole file is read, so a later
-        # field-count fault wins, as it did with one loop.
+        # A state out of range is a fault of its own line, found as the line is
+        # read, so it wins over a later field-count fault like any other.
         lines[1] = f"1,{2 ** 63}"
         got = self.check(tmp_path / "s.csv", "a,b\n" + "\n".join(lines) + "\n")
-        assert got == ("error", "expected 2 fields, got 1 (line 11)", 11)
+        assert got == ("error", "state value does not fit in a 64-bit integer (line 3)", 3)
 
     def test_rows_from_many_chunks(self, small_tree, tmp_path):
         s = sample(small_tree, 50, 3)
@@ -682,6 +696,48 @@ class TestCsvTiers:
             back = SampleSet.from_csv(path)
         assert loadtxt.call_count == 1
         assert (back.columns.T.astype(object) + 1).tolist() == rows
+
+    def test_odd_cell_sends_only_its_block_to_the_loop(self, tmp_path):
+        rows = np.random.default_rng(0).integers(1, 11, size=(50_000, 32))
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        SampleSet(rows=rows, variable_names=[f"X{i}" for i in range(32)],
+                  n_states=10).to_csv(plain)
+        lines = plain.read_text().split("\n")
+        lines[2] = "1_0" + lines[2][lines[2].index(","):]  # row 2's first state is 10
+        odd.write_text("\n".join(lines))
+        with open(odd) as fh:
+            fh.readline()
+            first_block = fh.readlines(model._CSV_CHUNK_CHARS)
+        assert len(first_block) < 50_000 // 3
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(model, "_parse_csv_lines", wraps=model._parse_csv_lines) as loop:
+            got = SampleSet.from_csv(odd)
+        # Only the first block reached numpy and the loop; _parse_digits read the rest.
+        assert loadtxt.call_count == 1 and loop.call_count == 1
+        assert loop.call_args.args == (first_block, 2, 32)
+        want = reference_from_csv(odd)
+        assert np.array_equal(got.columns, want.columns) and got.n_states == want.n_states
+        peaks = []
+        for path in (plain, odd):
+            tracemalloc.start()
+            try:
+                SampleSet.from_csv(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("bad, numpy_reads", [("0", False), ("-1", True)])
+    def test_state_below_one_names_its_line(self, tmp_path, bad, numpy_reads):
+        # Blocks of 8 characters: lines 2-3, then 4-5, whose line 5 has one field.
+        path = tmp_path / "s.csv"
+        path.write_text(f"a,b\n1,2\n{bad},1\n2,2\n1\n")
+        with mock.patch.object(model, "_CSV_CHUNK_CHARS", 8), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            got = read_outcome(SampleSet.from_csv, path)
+        assert got == ("error", "states must be 1-based positive integers (line 3)", 3)
+        assert got == read_outcome(reference_from_csv, path)
+        assert loadtxt.call_count == numpy_reads
 
     def test_leading_zero_takes_the_digit_parser(self, tmp_path):
         path = tmp_path / "s.csv"
