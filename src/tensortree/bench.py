@@ -78,8 +78,8 @@ def perturbed_marginal(k: int, mu: float, seed) -> np.ndarray:
 class QuartetModel:
     """Four observed variables hanging pairwise off two adjacent hidden nodes.
 
-    The true pairing is always {{1,2},{3,4}}: variables 1 and 2 attach to the
-    first hidden node, 3 and 4 to the second.
+    The true pairing is always {{1,2},{3,4}} (``QuartetRelation.PAIR_12_34``):
+    variables 1 and 2 attach to the first hidden node, 3 and 4 to the second.
     """
 
     joint_hidden: np.ndarray  # (k_h, k_g), sums to 1
@@ -96,10 +96,6 @@ class QuartetModel:
     @property
     def n(self) -> int:
         return self.obs_cpts[0].shape[0]
-
-    @property
-    def true_relation(self) -> QuartetRelation:
-        return QuartetRelation.PAIR_12_34
 
     def hidden_marginals(self) -> tuple[np.ndarray, np.ndarray]:
         return self.joint_hidden.sum(axis=1), self.joint_hidden.sum(axis=0)
@@ -276,18 +272,14 @@ def diagnostics(model, max_quartets: int | None = None, seed=0) -> RecoveryDiagn
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def _margin_flags(deltas) -> bool:
-    return all(max(np.max(np.abs(dl.sum(axis=0))), np.max(np.abs(dl.sum(axis=1))))
-               <= 1e-10 for dl in deltas)
-
-
 def _assemble(theta_min, gamma_min, alpha_min, deltas, k, d) -> RecoveryDiagnostics:
     delta = max(float(np.linalg.norm(dl)) for dl in deltas)
     edge_ok = delta <= theta_min / (k ** 2 + k)
     return RecoveryDiagnostics(
         theta_min=float(theta_min), gamma_min=float(gamma_min),
         alpha_min=float(alpha_min), delta=delta, k=int(k), d=int(d),
-        margins_preserved_ok=_margin_flags(deltas),
+        margins_preserved_ok=all(max(np.max(np.abs(dl.sum(axis=0))),
+                                     np.max(np.abs(dl.sum(axis=1)))) <= 1e-10 for dl in deltas),
         edge_bound_ok=edge_ok,
         combined_bound_ok=edge_ok and delta <= gamma_min)
 
@@ -518,14 +510,14 @@ def _timed_row(name, m, trial, outcome) -> tuple:
     return (name, m, trial, value, (time.perf_counter() - t0) * 1000.0)
 
 
-def _quartet_relation(name, emp, tables, model) -> QuartetRelation:
+def _quartet_relation(name, emp, tables) -> QuartetRelation:
     """The pairing one method reads from the empirical tensor ``emp``; ``tables()``
     gives its six pairwise tables, counted by the first method that needs them."""
     family, k = parse_method(name)
     if family == "tensor":
         return resolve_nuclear(emp).relation
     if family == "oracle":
-        return model.true_relation
+        return QuartetRelation.PAIR_12_34
     if family == "spectral":
         return resolve_spectral_k(tables(), k).relation
     dist = distance_matrix(tables(), 4)
@@ -547,7 +539,7 @@ def _quartet_trial(cfg: QuartetExperimentConfig, trial: int) -> list:
         tables = functools.cache(lambda: pairwise_tables(emp))
         for name in cfg.methods:
             rows.append(_timed_row(name, m, trial, lambda: _quartet_relation(
-                name, emp, tables, model) == model.true_relation))
+                name, emp, tables) == QuartetRelation.PAIR_12_34))
     return rows
 
 

@@ -8,7 +8,7 @@ prints argparse's usage lines and ``tensortree <command>: error: ...`` and exits
 2; every other error ends in ``main``, which prints ``error: <message>`` on stderr.
 Every method's input limits are bench.check_method's: ``build`` and ``diagnose``
 exit 3 on an input file that breaks one, the bench commands exit 2. A command that
-runs out of memory exits 3.
+runs out of memory, or whose worker process dies (say, ended by the OOM killer), exits 3.
 Seeds are non-negative integers; TENSORTREE_SEED overrides the default of 0
 (anything else is a usage error), and an explicit --seed flag always wins.
 """
@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from itertools import groupby
 
 from . import __version__
@@ -114,11 +115,18 @@ def _write_outputs(args, text: str, t0: float, **extra) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, with_jobs=True):
+def _add_common(sub, bench=True):
+    """--seed and --out; for a bench command also its sample grid, trials, methods, jobs."""
     sub.add_argument("--seed", type=_seed, default=None,
                      help="random seed, >= 0 (default: $TENSORTREE_SEED or 0)")
     sub.add_argument("--out", required=True, help="output file path")
-    if with_jobs:
+    if bench:
+        sub.add_argument("--samples", type=_distinct(_positive_int), required=True,
+                         help="comma-separated sample sizes, e.g. 50,200,2000")
+        sub.add_argument("--trials", type=int, required=True,
+                         help="random models, each sampled at every size")
+        sub.add_argument("--methods", type=_list(str.strip), required=True,
+                         help="comma-separated: tensor, spectral@K, nj, oracle")
         sub.add_argument("--jobs", type=_positive_int, default=1,
                          help="parallel worker processes, >= 1 (default 1)")
 
@@ -136,11 +144,6 @@ def make_parser() -> argparse.ArgumentParser:
     qb.add_argument("--kg", type=int, required=True, help="second hidden cardinality")
     qb.add_argument("--n", type=int, required=True, help="observed state count")
     qb.add_argument("--mu", type=float, required=True, help="perturbation level")
-    qb.add_argument("--samples", type=_distinct(_positive_int), required=True,
-                    help="comma-separated sample sizes, e.g. 50,200,2000")
-    qb.add_argument("--trials", type=int, required=True)
-    qb.add_argument("--methods", type=_list(str.strip), required=True,
-                    help="comma-separated: tensor, spectral@K, nj, oracle")
     _add_common(qb)
 
     tb = subs.add_parser("tree-bench",
@@ -151,9 +154,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="hidden cardinality range lo,hi (default 2,8)")
     tb.add_argument("--n", type=int, default=10, help="observed state count")
     tb.add_argument("--mu", type=float, required=True, help="perturbation level")
-    tb.add_argument("--samples", type=_distinct(_positive_int), required=True)
-    tb.add_argument("--trials", type=int, required=True)
-    tb.add_argument("--methods", type=_list(str.strip), required=True)
     tb.add_argument("--hidden-base", choices=("independent", "identity"),
                     default="independent",
                     help="base table for hidden-to-hidden edges")
@@ -163,7 +163,7 @@ def make_parser() -> argparse.ArgumentParser:
     bd.add_argument("--input", required=True, help="sample CSV (header + 1-based states)")
     bd.add_argument("--method", default="tensor",
                     help="tensor, spectral@K, or nj (default tensor)")
-    _add_common(bd, with_jobs=False)
+    _add_common(bd, bench=False)
 
     dg = subs.add_parser("diagnose", help="recovery diagnostics of a model file")
     dg.add_argument("--model", required=True, help="parameterized model file")
@@ -171,7 +171,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="sample sizes (>= 1) at which to evaluate the success bounds")
     dg.add_argument("--max-quartets", type=_positive_int, default=None,
                     help="subsample this many quartets (>= 1) on large trees")
-    _add_common(dg, with_jobs=False)
+    _add_common(dg, bench=False)
     return parser
 
 
@@ -283,8 +283,9 @@ def main(argv=None) -> int:
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise Refusal(EXIT_DATA, f"cannot write {args.out}: no writable directory {folder}")
         return _COMMANDS[args.command](args)
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except (MemoryError, BrokenProcessPool) as exc:
+        what = "out of memory" if isinstance(exc, MemoryError) else "a worker process died"
+        print(f"error: {what}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (Refusal, TensorTreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

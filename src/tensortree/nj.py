@@ -16,7 +16,9 @@ import numpy as np
 
 from .model import LatentTree
 
-# Stand-in for an infinite distance; far above any finite value at n <= 20.
+# Stand-in for an infinite distance, far above any finite one: a nonsingular table
+# of m counts has |det| >= m^-n, so |distance| < 2 * n * ln m, which is under 1e5
+# for n <= 1024 and m < 2^63.
 INFINITE_SENTINEL = 1e12
 
 

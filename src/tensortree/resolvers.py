@@ -45,18 +45,17 @@ def _decide(scores, minimize: bool) -> QuartetVerdict:
                           tie=bool(near.sum() > 1))
 
 
-def _gram_nuclear(matrix: np.ndarray, delta: float) -> float:
-    """Nuclear norm from eigvalsh of the Gram matrix of the smaller side, once
-    the all-zero rows and columns (zero singular values only) are dropped;
+def _gram_nuclear(a: np.ndarray, delta: float) -> float:
+    """Nuclear norm from eigvalsh of the Gram matrix of the smaller side;
     eigenvalues at or below ``delta`` count as 0."""
-    a = matrix[matrix.any(axis=1)][:, matrix.any(axis=0)]
     eig = np.linalg.eigvalsh(a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T)
     return float(np.sqrt(eig[eig > delta]).sum())
 
 
-def gram_scores(tensor: JointTensor4) -> tuple[list[float], float]:
-    """The three nuclear-norm scores by ``_gram_nuclear``, and a bound on the
-    distance of each from the exact norm.
+def gram_scores(tensor: JointTensor4) -> tuple[list[float], float, list[np.ndarray]]:
+    """The three nuclear-norm scores by ``_gram_nuclear``, a bound on the distance
+    of each from the exact norm, and the nonzero blocks scored: the unfoldings
+    without their all-zero rows and columns, which add only zero singular values.
 
     With r = n^2 and ||T|| the Frobenius norm of every unfolding, fl(A.T @ A)
     is off by at most r * eps * ||T||^2 in norm, and eigvalsh's backward error
@@ -70,23 +69,24 @@ def gram_scores(tensor: JointTensor4) -> tuple[list[float], float]:
     sqrt(eps) * ||T|| to its score."""
     r = tensor.n ** 2
     delta = 4 * r * np.finfo(float).eps * float(np.vdot(tensor.values, tensor.values))
-    scores = [_gram_nuclear(unfold(tensor, rel), delta) for rel in QuartetRelation]
-    return scores, r * math.sqrt(2 * delta)
+    blocks = [a[a.any(axis=1)][:, a.any(axis=0)]
+              for a in (unfold(tensor, rel) for rel in QuartetRelation)]
+    return [_gram_nuclear(a, delta) for a in blocks], r * math.sqrt(2 * delta), blocks
 
 
 def resolve_nuclear(tensor: JointTensor4) -> QuartetVerdict:
     """Pick the pairing whose unfolding has the smallest nuclear norm.
 
     When the best two Gram scores lie within 2 * bound, their exact order is
-    uncertain, and all three unfoldings are re-scored by SVD.  Otherwise the
+    uncertain, and all three nonzero blocks are re-scored by SVD.  Otherwise the
     exact best wins by at least the slack the safety factor leaves,
     0.19 * r * sqrt(delta) per score: over 1e3 times the SVD's own error
     (about r^2 * eps * ||T||) and TIE_RTOL times the scale (at most
     sqrt(r) * ||T||).  So every verdict and tie flag equals the SVD scores'."""
-    scores, bound = gram_scores(tensor)
+    scores, bound, blocks = gram_scores(tensor)
     best, second = sorted(scores)[:2]
     if second - best <= 2 * bound:
-        scores = [spectral(unfold(tensor, rel)).sum() for rel in QuartetRelation]
+        scores = [spectral(a).sum() for a in blocks]
     return _decide(scores, minimize=True)
 
 

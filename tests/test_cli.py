@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from unittest import mock
 
 import pytest
@@ -635,6 +636,11 @@ class TestUnwritableOut:
         assert out.read_text() == "kept\n"
 
 
+def dying_trial(cfg, trial):
+    """A trial whose worker process exits at once, as if killed."""
+    os._exit(1)
+
+
 class TestErrorsEndInMain:
     """Library errors raised inside a command reach ``main``, which prints
     ``error: <message>`` and maps them to exit codes; other errors propagate."""
@@ -667,6 +673,16 @@ class TestErrorsEndInMain:
                           "--n", "3", "--k-range", "2,2", "--samples", "100000000000",
                           "--trials", "1", "--methods", "nj", "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dead_worker(self, tmp_path, capsys, monkeypatch):
+        # A worker ended from outside (the OOM killer, say) breaks the pool.
+        monkeypatch.setattr(bench, "_quartet_trial", dying_trial)
+        out = tmp_path / "q.csv"
+        assert exit_code(QUARTET_ARGS + ["--jobs", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_diagnose_numerical_error(self, model_file, tmp_path, capsys, monkeypatch):

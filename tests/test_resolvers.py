@@ -99,7 +99,7 @@ class TestGramScores:
                     model = random_quartet_model(k, k, n, rng.uniform(0.2, 1.0), rng)
                     p = model.exact_tensor().values.ravel()
                     t = JointTensor4(rng.multinomial(m, p / p.sum()).reshape((n,) * 4) / m)
-                    gram, bound = gram_scores(t)
+                    gram, bound, _ = gram_scores(t)
                     ref = svd_verdict(t)
                     assert np.all(np.abs(np.subtract(gram, ref.scores)) <= bound)
                     v = resolve_nuclear(t)
@@ -120,7 +120,7 @@ class TestGramScores:
         q2 = np.linalg.qr(np.column_stack([v, rng.normal(size=(r, r - 1))]))[0][:, 1:]
         a = np.outer(u, v) + 0.7 * np.sqrt(delta) * q1 @ q2.T
         t = JointTensor4((a / a.sum()).reshape((n,) * 4, order="F"))
-        (gram, *_), bound = gram_scores(t)
+        (gram, *_), bound, _ = gram_scores(t)
         missed = nuclear_norm(unfold(t, QuartetRelation.PAIR_12_34)) - gram
         assert 0.25 * bound < missed <= bound
 
@@ -156,10 +156,35 @@ class TestGramScores:
         vals[:3, :, [0, 1, 3], :] = rng.dirichlet(np.ones(3 * 4 * 3 * 4)).reshape(3, 4, 3, 4)
         t = JointTensor4(vals)
         assert not any(unfold(t, rel).any(axis=1).all() for rel in QuartetRelation)
-        gram, bound = gram_scores(t)
+        gram, bound, _ = gram_scores(t)
         full = [nuclear_norm(unfold(t, rel)) for rel in QuartetRelation]
         assert gram == pytest.approx(full, abs=1e-12)
         assert np.all(np.abs(np.subtract(gram, full)) <= bound)
+
+    def test_sparse_fallback_scores_the_nonzero_blocks(self, monkeypatch):
+        # Few samples over many states leave at most m nonzero rows and columns
+        # in each n^2 x n^2 unfolding.  A near-tie's SVDs read no more than the
+        # nonzero block of each, and decide as SVDs of the full unfoldings do.
+        calls = count_svd_calls(monkeypatch)
+        fallbacks = 0
+        for n in (6, 10):
+            for m in (5, 10, 20):
+                for seed in range(20):
+                    rng = np.random.default_rng([n, m, seed])
+                    model = random_quartet_model(2, 2, n, 0.5, rng)
+                    p = model.exact_tensor().values.ravel()
+                    t = JointTensor4(rng.multinomial(m, p / p.sum()).reshape((n,) * 4) / m)
+                    blocks = [(a.any(axis=1).sum(), a.any(axis=0).sum())
+                              for a in (unfold(t, rel) for rel in QuartetRelation)]
+                    calls.clear()
+                    v = resolve_nuclear(t)
+                    ref = svd_verdict(t)
+                    assert (v.relation, v.tie) == (ref.relation, ref.tie), (n, m, seed)
+                    assert len(calls) in (0, 3)
+                    assert all(rows <= r and cols <= c
+                               for (rows, cols), (r, c) in zip(calls, blocks))
+                    fallbacks += bool(calls)
+        assert fallbacks >= 10
 
     def test_alpha_min_is_the_svd_score_gap(self):
         # diagnose prints alpha_min to 12 digits, so it reads SVD scores.
