@@ -10,6 +10,7 @@ all user-facing data (samples, CSV); arrays are 0-based internally.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import InitVar, dataclass
 from itertools import groupby
@@ -406,18 +407,28 @@ def _inverse_cdf(cpt, parent_states: np.ndarray, u: np.ndarray) -> np.ndarray:
     return pos - start
 
 
+def _flat_code(codes: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """One code of ``codes``, each below its size, the first most significant, built in place
+    on a copy of ``codes[0]`` in the smallest unsigned dtype holding prod(sizes) - 1
+    (``intp`` past 4 bytes)."""
+    dtype = np.min_scalar_type(math.prod(sizes) - 1)
+    flat = codes[0].astype(dtype if dtype.itemsize <= 4 else np.intp)
+    for code, size in zip(codes[1:], sizes[1:]):
+        flat *= size
+        flat += code
+    return flat
+
+
+def _counts(codes: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """Integer joint table of ``codes``, one axis per code, from one ``np.bincount``."""
+    return np.bincount(_flat_code(codes, sizes), minlength=math.prod(sizes)).reshape(sizes)
+
+
 def _frequencies(samples: SampleSet, idx: tuple[int, ...]) -> np.ndarray:
-    """Relative-frequency table of columns ``idx``, one axis of length n_states each, one
-    ``np.bincount`` of a flat code in the smallest unsigned dtype holding n^k - 1."""
+    """Relative-frequency table of columns ``idx``, one axis of length n_states each."""
     if min(idx) < 0 or max(idx) >= samples.d:
         raise ValueError(f"column index out of range 0..{samples.d - 1}")
-    n, k = samples.n_states, len(idx)
-    dtype = np.min_scalar_type(n ** k - 1)
-    flat = samples.columns[idx[0]].astype(dtype if dtype.itemsize <= 4 else np.intp)
-    for i in idx[1:]:
-        flat *= n
-        flat += samples.columns[i]
-    return np.bincount(flat, minlength=n ** k).reshape((n,) * k) / samples.m
+    return _counts([samples.columns[i] for i in idx], (samples.n_states,) * len(idx)) / samples.m
 
 
 def empirical_quartet_tensor(samples: SampleSet, idx: Sequence[int]) -> JointTensor4:
@@ -437,7 +448,24 @@ def empirical_pairwise(samples: SampleSet, i: int, j: int) -> np.ndarray:
 
 def empirical_pairwise_stack(samples: SampleSet) -> np.ndarray:
     """``empirical_pairwise(samples, i, j)`` for every i < j, stacked in ``np.triu_indices``
-    order and counted as ``x @ x.T`` of a float32 one-hot ``x``, one block of samples
+    order, bit for bit: both kernels count exactly and divide each count by m in float64.
+
+    The one-hot kernel costs (d·n)^2 multiply-adds per sample; the column-pair kernel
+    makes d^2/8 ``np.bincount`` passes over the samples into tables of n^4 counts, which
+    pays when states are many and m fills the tables.  The rule, from n and m only: column
+    pairs when n >= 7 and m >= n^4, else one-hot.  Median stack times in two runs on a
+    2-vCPU machine with 2 OpenBLAS threads, d = 32 and 64, n = 4..10, m = 2,000, 20,000 and
+    50,000 (``BENCH_27.json``): where the rule picks column pairs (n >= 7, m >= 20,000)
+    they were 1.2 to 3.7x faster.  One-hot was 1.7 to 5x faster at m = 2,000 and up to
+    1.5x faster at d = 64 with n = 4, or n = 5 and m = 20,000; the two were within 1.15x
+    at d = 64, n = 6, m = 20,000.  Column pairs also won at n = 5 and 6 with d = 32 and
+    m >= 20,000 (1.2 to 2.0x) or d = 64 and m = 50,000 (1.1 to 1.6x): d is not in the rule."""
+    n, m = samples.n_states, samples.m
+    return (_column_pair_stack if n >= 7 and m >= n ** 4 else _one_hot_stack)(samples)
+
+
+def _one_hot_stack(samples: SampleSet) -> np.ndarray:
+    """The stack counted as ``x @ x.T`` of a float32 one-hot ``x``, one block of samples
     at a time.  float32 sums of ones are exact below 2^24 samples; float64 past that."""
     d, n, m = samples.d, samples.n_states, samples.m
     counts = np.zeros((d * n, d * n), dtype=np.float32 if m < 2 ** 24 else np.float64)
@@ -449,3 +477,31 @@ def empirical_pairwise_stack(samples: SampleSet) -> np.ndarray:
     i, j = np.triu_indices(d, 1)
     counts = counts.reshape(d, n, d, n)[i, :, j, :]  # frees the (d*n)^2 matrix first
     return np.divide(counts, m, dtype=np.float64)
+
+
+def _column_pair_stack(samples: SampleSet) -> np.ndarray:
+    """The stack from the columns in groups (0, 1), (2, 3), ..., an odd last column alone:
+    one integer joint table per two groups, summed into its cross pairs, and one table of
+    each pair group's own code.  Counts go straight into the float64 stack; besides it, it holds
+    the groups' codes (one byte per group and sample for n <= 16) and one joint table with
+    its flat code at a time."""
+    d, n, m = samples.d, samples.n_states, samples.m
+    pairs = [(c, c + 1) for c in range(0, d - 1, 2)]
+    groups = pairs + [(d - 1,)] * (d % 2)
+    columns = samples.columns
+    codes = [*_flat_code((columns[0:d - 1:2], columns[1:d:2]), (n, n))] + [columns[-1]] * (d % 2)
+    out = np.empty((d * (d - 1) // 2, n, n))
+
+    def row(i, j):  # of pair i < j in np.triu_indices(d, 1) order
+        return i * (2 * d - i - 3) // 2 + j - 1
+
+    for g, (a, b) in enumerate(pairs):
+        out[row(a, b)] = _counts([codes[g]], (n * n,)).reshape(n, n)
+        for other, theirs in zip(codes[g + 1:], groups[g + 1:]):
+            table = _counts([codes[g], other], (n * n, n ** len(theirs)))
+            table = table.reshape((n,) * (2 + len(theirs)))
+            for i, part in ((a, table.sum(axis=1)), (b, table.sum(axis=0))):
+                for q, j in enumerate(theirs):  # part's axes: i, then theirs
+                    out[row(i, j)] = part.sum(axis=2 - q) if len(theirs) == 2 else part
+    out /= m  # exact counts, each divided once as in empirical_pairwise
+    return out

@@ -455,10 +455,13 @@ class TestPairwiseValidation:
             empirical_pairwise(self.samples(), 1, 1)
 
 
-def assert_stack_matches(samples):
-    """``empirical_pairwise_stack`` against its reference, one count per pair
-    i < j in ``np.triu_indices`` order."""
-    got = empirical_pairwise_stack(samples)
+STACK_KERNELS = (model._one_hot_stack, model._column_pair_stack)
+
+
+def assert_stack_matches(samples, kernel=empirical_pairwise_stack):
+    """A pairwise stack kernel against its reference, one count per pair i < j in
+    ``np.triu_indices`` order."""
+    got = kernel(samples)
     want = np.array([empirical_pairwise(samples, a, b)
                      for a, b in zip(*np.triu_indices(samples.d, 1))])
     assert got.dtype == np.float64 and got.shape == want.shape
@@ -466,7 +469,8 @@ def assert_stack_matches(samples):
 
 
 class TestPairwiseStack:
-    """``empirical_pairwise_stack`` equals ``empirical_pairwise`` bit for bit."""
+    """``empirical_pairwise_stack`` and both of its kernels equal ``empirical_pairwise`` bit
+    for bit."""
 
     def samples(self, m, d=4, n=3, n_states=None, seed=0):
         rows = np.random.default_rng(seed).integers(1, n + 1, size=(m, d))
@@ -497,13 +501,40 @@ class TestPairwiseStack:
                       n_states=1)
         assert empirical_pairwise_stack(s).tolist() == [[[1.0]]]
 
+    @pytest.mark.parametrize("kernel", STACK_KERNELS)
+    @pytest.mark.parametrize("d", [2, 3, 5, 12, 33])
+    def test_kernels_at_the_rule_boundary(self, kernel, d):
+        # n = 7 and m = 7^4: the smallest m at which the rule counts column pairs.
+        assert_stack_matches(self.samples(7 ** 4, d=d, n=7, seed=d), kernel)
+
+    @pytest.mark.parametrize("kernel", STACK_KERNELS)
+    def test_kernels_on_a_constant_column_and_unused_states(self, kernel):
+        rows = np.random.default_rng(3).integers(1, 8, size=(10 ** 4, 7))
+        rows[:, 4] = 5
+        s = SampleSet(rows=rows, variable_names=list("abcdefg"), n_states=10)
+        assert_stack_matches(s, kernel)
+
+    @pytest.mark.parametrize("d, n, m, column_pairs", [
+        (32, 10, 50_000, True), (33, 7, 2401, True), (33, 7, 2400, False),
+        (250, 4, 2_000, False), (64, 6, 20_000, False)])
+    def test_rule_picks_the_kernel(self, d, n, m, column_pairs):
+        s = SampleSet(rows=np.ones((m, d), dtype=np.uint8),
+                      variable_names=[f"X{c}" for c in range(d)], n_states=n)
+        with mock.patch.object(model, "_one_hot_stack") as one_hot, \
+                mock.patch.object(model, "_column_pair_stack") as pairs:
+            empirical_pairwise_stack(s)
+        assert (pairs.called, one_hot.called) == (column_pairs, not column_pairs)
+
     @settings(max_examples=150, deadline=None)
-    @given(d=st.integers(2, 6), n=st.integers(1, 4), extra=st.integers(0, 2),
-           m=st.integers(1, 40), block=st.integers(1, 30), seed=st.integers(0, 2 ** 16))
+    @given(d=st.integers(2, 7), n=st.integers(1, 8), extra=st.integers(0, 2),
+           m=st.integers(1, 40) | st.integers(2401, 4500), block=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 16))
     def test_matches_per_pair_counts(self, d, n, extra, m, block, seed):
+        # m from 2401 with 7 or 8 states reaches the column-pair kernel; the rest do not.
         s = self.samples(m, d=d, n=n, n_states=n + extra, seed=seed)
         with mock.patch.object(model, "_ONE_HOT_ENTRIES", block * d * (n + extra)):
-            assert_stack_matches(s)
+            for kernel in (empirical_pairwise_stack, *STACK_KERNELS):
+                assert_stack_matches(s, kernel)
 
 
 class TestSampleCsv:
