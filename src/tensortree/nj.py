@@ -21,6 +21,25 @@ from .model import LatentTree
 # for n <= 1024 and m < 2^63.
 INFINITE_SENTINEL = 1e12
 
+# Q is compared after rounding to 12 decimals, so that entries equal up to float
+# error tie.  np.round(x, 12) is rint(x * 1e12) / 1e12, which never decreases as
+# x grows: the smallest rounded entry is Q's minimum lo rounded, and every entry
+# that rounds to it lies within 1e-12 plus a few ulps of lo.  A bisection over lo
+# in +-[1e-6, 2e15] put the farthest such entry at half of TIE_ABS + TIE_REL * |lo|,
+# so only the entries within that tolerance of lo are rounded.
+TIE_ABS, TIE_REL = 2e-12, 1e-14
+
+
+def first_rounded_min(q: np.ndarray) -> int:
+    """Row-major index of the first minimum of ``np.round(q, 12)``."""
+    flat = q.ravel()
+    first = int(flat.argmin())
+    lo = float(flat[first])
+    cand = (flat <= lo + (TIE_ABS + TIE_REL * abs(lo))).nonzero()[0]
+    if len(cand) == 1:  # no tie to round: np.round's fixed cost dominates at small n
+        return first
+    return int(cand[np.round(flat[cand], 12).argmin()])
+
 
 def logdet_distances(tables) -> np.ndarray:
     """Determinant-based distances of a ``(k, n, n)`` stack of joint tables;
@@ -77,7 +96,7 @@ def neighbor_join(dist: np.ndarray, names) -> LatentTree:
 
     # ``dist`` stays compact: row and column c belong to node ``active[c]``.
     # Adding ``lower`` sets Q to +inf at i >= j, so only pairs i < j compete and
-    # the row-major argmin is the lowest-index pair among ties.
+    # the first rounded minimum in row-major order is the lowest-index pair among ties.
     lower = np.tril(np.full((d, d), np.inf))
     scratch = np.empty(d * d)  # Q, computed in place
     active = list(range(d))  # node ids of current clusters
@@ -86,20 +105,25 @@ def neighbor_join(dist: np.ndarray, names) -> LatentTree:
         n_act = len(active)
         r = dist.sum(axis=1)
         q = scratch[:n_act * n_act].reshape(n_act, n_act)
-        np.multiply(n_act - 2, dist, out=q)  # round((n_act-2)*dist - r[:,None] - r[None,:], 12)
+        np.multiply(n_act - 2, dist, out=q)  # (n_act-2)*dist - r[:,None] - r[None,:]
         q -= r[:, None]
         q -= r[None, :]
-        np.round(q, 12, out=q)
         q += lower[:n_act, :n_act]
-        a, b = divmod(int(np.argmin(q)), n_act)
+        a, b = divmod(first_rounded_min(q), n_act)
         adj[h] = [active[a], active[b]]
         adj[active[a]].append(h)
         adj[active[b]].append(h)
-        rest = np.r_[0:a, a + 1:b, b + 1:n_act]  # kept rows in order; the new node goes last
-        joined = np.zeros((n_act - 1, n_act - 1))
-        joined[:-1, :-1] = dist[rest][:, rest]
-        joined[-1, :-1] = joined[:-1, -1] = 0.5 * (dist[a, rest] + dist[b, rest] - dist[a, b])
-        dist, active = joined, [active[c] for c in rest] + [h]
+        # Copy the kept rows and columns in order by basic slices, the up to nine
+        # blocks between rows and columns a and b; the new node goes last.
+        joined = np.empty((n_act - 1, n_act - 1))
+        new = 0.5 * (dist[a] + dist[b] - dist[a, b])
+        spans = ((0, a, 0), (a + 1, b, a), (b + 1, n_act, b - 1))  # (start, stop, target)
+        for r0, r1, t in spans:
+            for c0, c1, u in spans:
+                joined[t:t + r1 - r0, u:u + c1 - c0] = dist[r0:r1, c0:c1]
+            joined[-1, t:t + r1 - r0] = joined[t:t + r1 - r0, -1] = new[r0:r1]
+        joined[-1, -1] = 0.0
+        dist, active = joined, active[:a] + active[a + 1:b] + active[b + 1:] + [h]
     # Join the last three clusters through one final hidden node.
     h = 2 * d - 3
     adj[h] = list(active)

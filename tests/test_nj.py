@@ -11,7 +11,7 @@ from tensortree import (SampleSet, additive_distance, distance_matrix,
                         robinson_foulds, sample, to_newick)
 from tensortree.bench import (parameterize, random_topology, random_tree_model,
                               recover)
-from tensortree.nj import INFINITE_SENTINEL
+from tensortree.nj import INFINITE_SENTINEL, TIE_ABS, TIE_REL, first_rounded_min
 
 from helpers import dfs_path
 
@@ -226,19 +226,20 @@ def symmetric(upper):
 
 class TestNeighborJoinBeyondSmallD:
     """The compact joining loop against ``reference_nj_edges`` where many joins
-    move rows, on inputs where the joining criterion ties often."""
+    move rows, on inputs where the joining criterion ties often.  The cost of
+    copying the kept block changes above n = 150 or so, so d = 160 and 200 are covered."""
 
     @staticmethod
     def assert_matches_reference(dist):
         built = neighbor_join(dist, [f"X{i}" for i in range(len(dist))])
         assert built.edges() == reference_nj_edges(dist)
 
-    @pytest.mark.parametrize("d", [4, 5, 16, 40, 64])
+    @pytest.mark.parametrize("d", [4, 5, 16, 40, 64, 160, 200])
     def test_small_integers(self, d):
         rng = np.random.default_rng([4, d])
         self.assert_matches_reference(symmetric(rng.integers(1, 4, (d, d))))
 
-    @pytest.mark.parametrize("d", [4, 5, 16, 40, 64])
+    @pytest.mark.parametrize("d", [4, 5, 16, 40, 64, 160, 200])
     def test_all_distances_equal(self, d):
         self.assert_matches_reference(np.ones((d, d)) - np.eye(d))
 
@@ -250,10 +251,53 @@ class TestNeighborJoinBeyondSmallD:
         dist[-1, :-1:3] = dist[:-1:3, -1] = np.inf
         self.assert_matches_reference(dist)
 
+    def test_three_decimals_near_1e4(self):
+        # |Q| reaches 1e6 here, where rounding to 12 decimals merges neighbouring doubles.
+        rng = np.random.default_rng(7)
+        self.assert_matches_reference(symmetric(rng.integers(9_990_000, 10_000_000,
+                                                             (160, 160)) / 1000))
+
+    def test_infinite_first_rows(self):
+        # |Q| reaches 1e14, where only the tie tolerance's relative term covers
+        # entries a few ulps apart that round alike.
+        rng = np.random.default_rng(8)
+        dist = symmetric(rng.integers(1001, 1004, (160, 160)) / 1000)
+        dist[:3, 3:] = dist[3:, :3] = np.inf
+        self.assert_matches_reference(dist)
+
     def test_column_major_input(self):
         # The loop sums rows of a C-ordered copy, as the reference sums its gathered rows.
         dist = symmetric(np.random.default_rng(6).uniform(0, 5, (40, 40)))
         self.assert_matches_reference(np.asfortranarray(dist))
+
+
+class TestFirstRoundedMin:
+    """Only the entries within the tie tolerance of Q's minimum are rounded."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_entry_that_rounds_to_the_minimum_is_a_candidate(self, sign):
+        rng = np.random.default_rng(9)
+        for exponent in np.arange(-6.0, 15.5, 0.25):
+            lo = sign * min(rng.uniform(1, 10 ** 0.25) * 10 ** exponent, 2e15)
+            tol = TIE_ABS + TIE_REL * abs(lo)
+            target = np.round(lo, 12)
+            # Bisect for the largest x that rounds to the minimum's rounded value.
+            good, bad = lo, lo + 10 * tol
+            assert np.round(bad, 12) != target
+            while (mid := good + (bad - good) / 2) not in (good, bad):
+                good, bad = (mid, bad) if np.round(mid, 12) == target else (good, mid)
+            assert good - lo <= tol, lo
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4, 1e12])
+    def test_same_index_as_rounding_everything(self, scale):
+        rng = np.random.default_rng(10)
+        for n in (4, 7, 30):
+            for _ in range(50):
+                # Few distinct values, each off by a few ulps: ties that only rounding finds.
+                q = rng.integers(-3, 3, (n, n)) * scale
+                q = q * (1 + rng.integers(-4, 5, (n, n)) * 2.0 ** -52)
+                q += np.tril(np.full((n, n), np.inf))
+                assert first_rounded_min(q) == np.argmin(np.round(q, 12))
 
 
 def reference_nj_build(samples):
