@@ -282,6 +282,8 @@ def main(argv=None) -> int:
         folder = os.path.dirname(os.path.abspath(args.out))  # before the work; opens nothing
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise Refusal(EXIT_DATA, f"cannot write {args.out}: no writable directory {folder}")
+        if os.path.isdir(args.out):
+            raise Refusal(EXIT_DATA, f"cannot write {args.out}: it is a directory")
         return _COMMANDS[args.command](args)
     except (MemoryError, BrokenProcessPool) as exc:
         what = "out of memory" if isinstance(exc, MemoryError) else "a worker process died"

@@ -612,14 +612,16 @@ class TestUnwritableOut:
         monkeypatch.setattr(cli, "run_quartet_experiment", must_not_run)
         _, csv = fixture_data
         (tmp_path / "file").write_text("")
-        for out in (tmp_path / "missing" / "o.out", tmp_path / "file" / "o.out"):
+        (tmp_path / "folder").mkdir()
+        for out in (tmp_path / "missing" / "o.out", tmp_path / "file" / "o.out",
+                    tmp_path / "folder"):
             for argv in (QUARTET_ARGS, ["build", "--input", str(csv)]):
                 assert exit_code(argv + ["--out", str(out)]) == 3
                 assert f"cannot write {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_out_is_a_directory(self, model_file, fixture_data, tmp_path, capsys, command):
-        # Its folder is writable, so the refusal comes when the output is opened.
+        # Its folder is writable; --out itself is refused before the command runs.
         out = tmp_path / "taken"
         out.mkdir()
         argv = command_args(command, model_file, fixture_data[1])

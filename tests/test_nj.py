@@ -11,6 +11,7 @@ from tensortree import (SampleSet, additive_distance, distance_matrix,
                         robinson_foulds, sample, to_newick)
 from tensortree.bench import (parameterize, random_topology, random_tree_model,
                               recover)
+from tensortree import nj
 from tensortree.nj import INFINITE_SENTINEL, TIE_ABS, TIE_REL, first_rounded_min
 
 from helpers import dfs_path
@@ -30,9 +31,10 @@ def path_additive_matrix(tree, seed):
     return out
 
 
-def reference_nj_edges(dist):
+def reference_nj_edges(dist, unrounded_q=None):
     """Edges of neighbor joining with a per-pair scan and a matrix regrown on
-    every join; the vectorized version must give the same node ids."""
+    every join; the vectorized version must give the same node ids.  Each
+    join's Q before rounding is appended to ``unrounded_q`` when it is given."""
     dist = np.where(np.isinf(dist), INFINITE_SENTINEL, np.array(dist, dtype=float))
     d = dist.shape[0]
     active = list(range(d))
@@ -42,7 +44,10 @@ def reference_nj_edges(dist):
         n_act = len(active)
         sub = dist[np.ix_(active, active)]
         r = sub.sum(axis=1)
-        q = np.round((n_act - 2) * sub - r[:, None] - r[None, :], 12)
+        q = (n_act - 2) * sub - r[:, None] - r[None, :]
+        if unrounded_q is not None:
+            unrounded_q.append(q)
+        q = np.round(q, 12)
         best = (0, 1)
         for a, b in itertools.combinations(range(n_act), 2):
             if q[a, b] < q[best]:
@@ -58,6 +63,26 @@ def reference_nj_edges(dist):
         active = [x for i, x in enumerate(active) if i not in (a, b)] + [h]
         h += 1
     return sorted(edges + [(x, h) for x in active])
+
+
+def assert_joins_like_reference(dist):
+    """``neighbor_join`` gives the reference's edges from a Q whose entries i < j
+    have the reference's bits at every join, so a new node's row with other bits
+    fails here even where it joins the same pairs."""
+    got, want = [], []
+
+    def recording(q):
+        got.append(q.copy())
+        return first_rounded_min(q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nj, "first_rounded_min", recording)
+        built = neighbor_join(dist, [f"X{i}" for i in range(len(dist))])
+    assert built.edges() == reference_nj_edges(dist, want)
+    assert len(got) == len(want)
+    for q, ref in zip(got, want):
+        upper = np.triu_indices(len(ref), 1)
+        assert q[upper].tobytes() == ref[upper].tobytes()
 
 
 def reference_additive_distance(p_ij):
@@ -211,8 +236,7 @@ class TestNeighborJoin:
                 dist = np.triu(upper.astype(float), 1)
                 dist = dist + dist.T
                 dist[0, d - 1] = dist[d - 1, 0] = np.inf
-                built = neighbor_join(dist, [f"X{i}" for i in range(d)])
-                assert built.edges() == reference_nj_edges(dist)
+                assert_joins_like_reference(dist)
 
     def test_sentinel_magnitude(self):
         assert INFINITE_SENTINEL > 1e9
@@ -229,19 +253,14 @@ class TestNeighborJoinBeyondSmallD:
     move rows, on inputs where the joining criterion ties often.  The cost of
     copying the kept block changes above n = 150 or so, so d = 160 and 200 are covered."""
 
-    @staticmethod
-    def assert_matches_reference(dist):
-        built = neighbor_join(dist, [f"X{i}" for i in range(len(dist))])
-        assert built.edges() == reference_nj_edges(dist)
-
     @pytest.mark.parametrize("d", [4, 5, 16, 40, 64, 160, 200])
     def test_small_integers(self, d):
         rng = np.random.default_rng([4, d])
-        self.assert_matches_reference(symmetric(rng.integers(1, 4, (d, d))))
+        assert_joins_like_reference(symmetric(rng.integers(1, 4, (d, d))))
 
     @pytest.mark.parametrize("d", [4, 5, 16, 40, 64, 160, 200])
     def test_all_distances_equal(self, d):
-        self.assert_matches_reference(np.ones((d, d)) - np.eye(d))
+        assert_joins_like_reference(np.ones((d, d)) - np.eye(d))
 
     @pytest.mark.parametrize("d", [4, 5, 16, 40, 64])
     def test_infinite_entries_in_first_and_last_rows(self, d):
@@ -249,13 +268,13 @@ class TestNeighborJoinBeyondSmallD:
         dist = symmetric(rng.integers(1, 4, (d, d)))
         dist[0, 1::2] = dist[1::2, 0] = np.inf
         dist[-1, :-1:3] = dist[:-1:3, -1] = np.inf
-        self.assert_matches_reference(dist)
+        assert_joins_like_reference(dist)
 
     def test_three_decimals_near_1e4(self):
         # |Q| reaches 1e6 here, where rounding to 12 decimals merges neighbouring doubles.
         rng = np.random.default_rng(7)
-        self.assert_matches_reference(symmetric(rng.integers(9_990_000, 10_000_000,
-                                                             (160, 160)) / 1000))
+        assert_joins_like_reference(symmetric(rng.integers(9_990_000, 10_000_000,
+                                                           (160, 160)) / 1000))
 
     def test_infinite_first_rows(self):
         # |Q| reaches 1e14, where only the tie tolerance's relative term covers
@@ -263,12 +282,12 @@ class TestNeighborJoinBeyondSmallD:
         rng = np.random.default_rng(8)
         dist = symmetric(rng.integers(1001, 1004, (160, 160)) / 1000)
         dist[:3, 3:] = dist[3:, :3] = np.inf
-        self.assert_matches_reference(dist)
+        assert_joins_like_reference(dist)
 
     def test_column_major_input(self):
         # The loop sums rows of a C-ordered copy, as the reference sums its gathered rows.
         dist = symmetric(np.random.default_rng(6).uniform(0, 5, (40, 40)))
-        self.assert_matches_reference(np.asfortranarray(dist))
+        assert_joins_like_reference(np.asfortranarray(dist))
 
 
 class TestFirstRoundedMin:
