@@ -22,7 +22,7 @@ from .exceptions import ModelError, TensorTreeError
 from .metrics import robinson_foulds
 from .model import (LatentTree, SampleSet, TreeParameters, empirical_pairwise,
                     empirical_pairwise_stack, empirical_quartet_tensor,
-                    exact_quartet_distribution, sample)
+                    exact_quartet_distribution, sample, triu_row)
 from .nj import INFINITE_SENTINEL, distance_matrix, neighbor_join
 from .resolvers import (PAIR_KEYS, four_point, resolve_nuclear, resolve_oracle,
                         resolve_spectral_k)
@@ -405,18 +405,21 @@ def _validate_shared(cfg, d: int) -> None:
 
 
 def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = None,
-            ) -> LatentTree:
+            stack=None) -> LatentTree:
     """Tree over the sample columns, named by ``samples.variable_names``, built
     with one method (see :func:`parse_method`).
 
     ``seed`` drives the builder's random choices.  ``oracle`` needs the true
     tree ``truth``, whose leaves in ascending id order are the sample columns.
+    ``stack``, if given, returns ``empirical_pairwise_stack(samples)``, which ``nj`` and
+    ``spectral@K`` read instead of counting.  ``tree-bench`` shares one cached stack among
+    a trial's methods when they include ``nj``; the first method to read it pays for it.
     """
     family, spectral_k = parse_method(method)
     d = samples.d
     if family == "nj":
-        return neighbor_join(distance_matrix(empirical_pairwise_stack(samples), d),
-                             samples.variable_names)
+        tables = stack() if stack else empirical_pairwise_stack(samples)
+        return neighbor_join(distance_matrix(tables, d), samples.variable_names)
     if family == "oracle":
         if truth is None:
             raise ValueError("method 'oracle' needs the true tree")
@@ -428,7 +431,8 @@ def recover(samples: SampleSet, method: str, seed, truth: LatentTree | None = No
         def resolver(a, b, c, dd):
             return resolve_nuclear(empirical_quartet_tensor(samples, (a, b, c, dd)))
     else:
-        counted = functools.cache(lambda i, j: empirical_pairwise(samples, i, j))
+        counted = (lambda i, j: stack()[triu_row(d, i, j)]) if stack else functools.cache(
+            lambda i, j: empirical_pairwise(samples, i, j))
 
         def table(i, j):  # one count per unordered pair; its transpose is bitwise equal
             return counted(i, j) if i < j else counted(j, i).T
@@ -548,12 +552,14 @@ def _tree_trial(cfg: TreeExperimentConfig, trial: int) -> list:
     k = int(rng.integers(cfg.k_range[0], cfg.k_range[1] + 1))
     truth = random_tree_model(cfg.d, cfg.beta, cfg.n, k, cfg.mu, rng,
                               hidden_base=cfg.hidden_base)
+    shares = any(parse_method(name)[0] == "nj" for name in cfg.methods)
     rows = []
     for mi, m in enumerate(cfg.sample_grid):
         samples = sample(truth, m, np.random.default_rng([cfg.seed, 2, trial, mi]))
+        stack = functools.cache(lambda: empirical_pairwise_stack(samples)) if shares else None
         for name in cfg.methods:
-            rows.append(_timed_row(name, m, trial, lambda: robinson_foulds(
-                recover(samples, name, [cfg.seed, 3, trial, mi], truth=truth), truth)))
+            rows.append(_timed_row(name, m, trial, lambda: robinson_foulds(recover(
+                samples, name, [cfg.seed, 3, trial, mi], truth=truth, stack=stack), truth)))
     return rows
 
 

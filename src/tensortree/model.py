@@ -464,6 +464,11 @@ def empirical_pairwise_stack(samples: SampleSet) -> np.ndarray:
     return (_column_pair_stack if n >= 7 and m >= n ** 4 else _one_hot_stack)(samples)
 
 
+def triu_row(d: int, i: int, j: int) -> int:
+    """The row of pair i < j of d variables in ``np.triu_indices(d, 1)`` order."""
+    return i * (2 * d - i - 3) // 2 + j - 1
+
+
 def _one_hot_stack(samples: SampleSet) -> np.ndarray:
     """The stack counted as ``x @ x.T`` of a float32 one-hot ``x``, one block of samples
     at a time.  float32 sums of ones are exact below 2^24 samples; float64 past that."""
@@ -491,17 +496,13 @@ def _column_pair_stack(samples: SampleSet) -> np.ndarray:
     columns = samples.columns
     codes = [*_flat_code((columns[0:d - 1:2], columns[1:d:2]), (n, n))] + [columns[-1]] * (d % 2)
     out = np.empty((d * (d - 1) // 2, n, n))
-
-    def row(i, j):  # of pair i < j in np.triu_indices(d, 1) order
-        return i * (2 * d - i - 3) // 2 + j - 1
-
     for g, (a, b) in enumerate(pairs):
-        out[row(a, b)] = _counts([codes[g]], (n * n,)).reshape(n, n)
+        out[triu_row(d, a, b)] = _counts([codes[g]], (n * n,)).reshape(n, n)
         for other, theirs in zip(codes[g + 1:], groups[g + 1:]):
             table = _counts([codes[g], other], (n * n, n ** len(theirs)))
             table = table.reshape((n,) * (2 + len(theirs)))
             for i, part in ((a, table.sum(axis=1)), (b, table.sum(axis=0))):
                 for q, j in enumerate(theirs):  # part's axes: i, then theirs
-                    out[row(i, j)] = part.sum(axis=2 - q) if len(theirs) == 2 else part
+                    out[triu_row(d, i, j)] = part.sum(axis=2 - q) if len(theirs) == 2 else part
     out /= m  # exact counts, each divided once as in empirical_pairwise
     return out

@@ -5,7 +5,8 @@
 ``perfbench/digest.py`` digests the benchmark workloads; the cases here cover
 what those do not reach: the nuclear test's SVD fallback on sparse tables,
 ``diagnose``, the flat code's dtype edges, five spellings of one sample CSV,
-and the pairwise-stack kernels under many NJ joins.  tensortree is imported
+the pairwise-stack kernels under many NJ joins, and ``tree-bench`` trials whose
+``spectral@2`` reads the stack that ``nj`` counts.  tensortree is imported
 from the ``src`` directory that PYTHONPATH names first.  Each case's inputs
 are written by that tensortree, with fixed seeds, into a temporary directory,
 and its command runs in process through ``tensortree.cli.main``.  One line
@@ -130,7 +131,18 @@ def build(csv, method):
     return ("build", "--input", csv, "--method", method, "--seed", "1")
 
 
-SAMPLED = ("--max-quartets", "40", "--seed", "3")  # the sampled path of bench._quartets
+def sampled(quartets):
+    """Flags drawing ``quartets`` of a model's quartets; below its C(d, 4), they take
+    the sampled path of bench._quartets."""
+    return ("--max-quartets", str(quartets), "--seed", "3")
+
+
+def shared_stack(n, samples):
+    """A tree-bench whose spectral@2 reads the pairwise stack that its nj counts."""
+    return ("tree-bench", "--d", "16", "--beta", "0.5", "--n", str(n), "--k-range", "2,4",
+            "--mu", "0.5", "--samples", samples, "--trials", "2", "--methods", "spectral@2,nj",
+            "--seed", "1")
+
 
 CASES = [
     # At n = 32 and m <= 20 each 1024 x 1024 unfolding has at most 20 nonzero rows,
@@ -139,11 +151,11 @@ CASES = [
                                    "--k-range", "2,2", "--mu", "0.5", "--samples", "5,20",
                                    "--trials", "2", "--methods", "tensor", "--seed", "1")),
     Case("diagnose-d6-all", diagnose("model6.txt")),
-    Case("diagnose-d6-sampled", diagnose("model6.txt", *SAMPLED)),
+    Case("diagnose-d6-sampled", diagnose("model6.txt", *sampled(10))),
     Case("diagnose-d8-all", diagnose("model8.txt")),
-    Case("diagnose-d8-sampled", diagnose("model8.txt", *SAMPLED)),
+    Case("diagnose-d8-sampled", diagnose("model8.txt", *sampled(40))),
     Case("diagnose-d12-all", diagnose("model12.txt")),
-    Case("diagnose-d12-sampled", diagnose("model12.txt", *SAMPLED)),
+    Case("diagnose-d12-sampled", diagnose("model12.txt", *sampled(40))),
     Case("build-n16-tensor", build("edge16.csv", "tensor")),
     Case("build-n16-spectral@2", build("edge16.csv", "spectral@2")),
     Case("build-n17-tensor", build("edge17.csv", "tensor")),
@@ -157,6 +169,10 @@ CASES = [
     Case("build-d33-n8-m5000-nj", build("pairs33.csv", "nj")),
     Case("build-d12-n7-m2401-nj", build("pairs12.csv", "nj")),
     Case("build-d400-n4-m500-nj", build("pairs400.csv", "nj")),
+    # The stack's one-hot kernel at n = 6; at n = 7, one-hot at m = 2,400 and column
+    # pairs from the rule's boundary m = n^4 = 2,401.
+    Case("tree-bench-n6-shared-stack", shared_stack(6, "500,2000")),
+    Case("tree-bench-n7-shared-stack", shared_stack(7, "2400,2401")),
 ]
 
 

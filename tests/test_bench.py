@@ -1,5 +1,6 @@
 """Unit tests for synthetic model generation, diagnostics, and the harness."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -17,8 +18,8 @@ from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
                               random_tree_model, recover, result_csv,
                               run_quartet_experiment, run_tree_experiment)
 from tensortree.exceptions import ModelError
-from tensortree.model import (LatentTree, TreeParameters, exact_quartet_distribution,
-                              sample)
+from tensortree.model import (LatentTree, TreeParameters, empirical_pairwise_stack,
+                              exact_quartet_distribution, sample)
 from tensortree.nj import INFINITE_SENTINEL, additive_distance
 from tensortree.resolvers import PAIR_KEYS, resolve_oracle
 from tensortree.tensors import nuclear_norm, unfold
@@ -458,13 +459,17 @@ class TestRecover:
     def test_golden_newick(self):
         truth = random_tree_model(12, 0.5, 4, 3, 0.5, 5, hidden_base="identity")
         samples = sample(truth, 2000, 6)
+        stack = functools.cache(lambda: empirical_pairwise_stack(samples))
         for method, newick in self.GOLDEN.items():
             assert to_newick(recover(samples, method, 7, truth=truth)) == newick
+            assert to_newick(recover(samples, method, 7, truth=truth, stack=stack)) == newick
         assert self.GOLDEN["oracle"] == to_newick(truth)
 
-    def test_spectral_counts_each_pair_once(self, monkeypatch):
-        # Each unordered pair is counted once, as (i, j) with i < j, and every
-        # resolver call still sees the stack counted in the quartet's own order.
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_spectral_counts_each_pair_once(self, monkeypatch, shared):
+        # Each unordered pair is counted once, as (i, j) with i < j, or read from a
+        # shared stack with no pair counted, and every resolver call still sees the
+        # tables counted in the quartet's own order.
         samples = sample(random_tree_model(12, 0.5, 4, 3, 0.5, 5, hidden_base="identity"),
                          2000, 6)
         count, resolve = bench.empirical_pairwise, bench.resolve_spectral_k
@@ -488,9 +493,14 @@ class TestRecover:
         monkeypatch.setattr(bench, "empirical_pairwise", counting)
         monkeypatch.setattr(bench, "resolve_spectral_k", resolving)
         monkeypatch.setattr(bench, "build_tree", building)
-        recover(samples, "spectral@2", 7)
-        assert calls and all(i < j for i, j in calls)
-        assert len(set(calls)) == len(calls)
+        if shared:
+            whole = functools.cache(lambda: empirical_pairwise_stack(samples))
+            recover(samples, "spectral@2", 7, stack=whole)
+            assert calls == []
+        else:
+            recover(samples, "spectral@2", 7)
+            assert calls and all(i < j for i, j in calls)
+            assert len(set(calls)) == len(calls)
         assert stacks and len(stacks) == len(quartets)
         for ids, stack in zip(quartets, stacks):
             want = np.stack([count(samples, ids[i - 1], ids[j - 1]) for i, j in PAIR_KEYS])
@@ -500,6 +510,49 @@ class TestRecover:
         samples = sample(random_tree_model(4, 0.5, 3, 2, 0.5, 1), 10, 2)
         with pytest.raises(ValueError):
             recover(samples, "oracle", 0)
+
+
+class TestSharedStack:
+    """A tree-bench trial whose methods include nj counts the pairwise stack once per
+    sample size, and spectral@K reads its tables from it."""
+
+    CFG = TreeExperimentConfig(d=8, beta=0.5, k_range=(2, 3), n=4, mu=0.5,
+                               sample_grid=(300, 1000), trials=2, methods=("nj",), seed=2)
+
+    def counted(self, monkeypatch):
+        calls = {"stack": 0, "pair": 0}
+        stack, pair = bench.empirical_pairwise_stack, bench.empirical_pairwise
+
+        def counting_stack(samples):
+            calls["stack"] += 1
+            return stack(samples)
+
+        def counting_pair(samples, i, j):
+            calls["pair"] += 1
+            return pair(samples, i, j)
+
+        monkeypatch.setattr(bench, "empirical_pairwise_stack", counting_stack)
+        monkeypatch.setattr(bench, "empirical_pairwise", counting_pair)
+        return calls
+
+    @pytest.mark.parametrize("methods", [("spectral@2", "nj"), ("nj", "spectral@2")])
+    def test_one_stack_per_trial_and_sample_size(self, monkeypatch, methods):
+        calls = self.counted(monkeypatch)
+        run_tree_experiment(replace(self.CFG, methods=methods))
+        assert calls == {"stack": self.CFG.trials * len(self.CFG.sample_grid), "pair": 0}
+
+    def test_spectral_alone_counts_no_stack(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        run_tree_experiment(replace(self.CFG, methods=("spectral@2",)))
+        assert calls["stack"] == 0 and calls["pair"] > 0
+
+    @pytest.mark.parametrize("methods", [("tensor", "spectral@2", "nj", "oracle"),
+                                         ("nj", "spectral@3")])
+    def test_rows_match_each_method_alone(self, methods):
+        rows = run_tree_experiment(replace(self.CFG, methods=methods))
+        for name in methods:
+            alone = run_tree_experiment(replace(self.CFG, methods=(name,)))
+            assert [r[:4] for r in rows if r[0] == name] == [r[:4] for r in alone]
 
 
 class TestParameterize:

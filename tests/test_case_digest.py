@@ -1,9 +1,12 @@
-"""The table of ``case_digest.py``: its spellings and its case names.  The cases
-themselves run in the base-commit comparison, not here."""
+"""The table of ``case_digest.py``: its spellings, its case names and its sampled
+rows.  The cases themselves run in the base-commit comparison, not here."""
+
+import math
 
 import pytest
 
-from case_digest import CASES, SPELLINGS
+import tensortree
+from case_digest import CASES, INPUTS, SPELLINGS
 
 # 101 data lines; line 2 holds two two-digit states and line 51 one.
 PLAIN = b"a,b\n10,13\n" + b"1,2\n" * 48 + b"12,1\n" + b"2,1\n" * 51
@@ -37,3 +40,13 @@ def test_case_names_are_unique_and_compared_with_earlier_cases():
     assert len(set(names)) == len(names)
     for i, case in enumerate(CASES):
         assert case.same_as is None or case.same_as in names[:i]
+
+
+def test_sampled_cases_draw_fewer_quartets_than_their_model_has(tmp_path):
+    sampled = [case.argv for case in CASES if case.name.endswith("-sampled")]
+    assert sampled
+    for argv in sampled:
+        model = argv[argv.index("--model") + 1]
+        INPUTS[model](tensortree, tmp_path / model)
+        d = tensortree.read_model(tmp_path / model).d
+        assert int(argv[argv.index("--max-quartets") + 1]) < math.comb(d, 4), argv

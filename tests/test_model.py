@@ -494,6 +494,11 @@ class TestPairwiseStack:
         s = self.samples(50, d=2, n=2, seed=2)
         assert_stack_matches(s)
 
+    def test_triu_row_indexes_triu_order(self):
+        for d in range(2, 41):
+            rows = [model.triu_row(d, i, j) for i, j in zip(*np.triu_indices(d, 1))]
+            assert rows == list(range(d * (d - 1) // 2))
+
     def test_counts_past_float32_exactness(self):
         # 2^24 + 1 equal rows: a float32 sum of ones stops at 2^24.
         m = 2 ** 24 + 1
