@@ -465,11 +465,10 @@ class TestRecover:
             assert to_newick(recover(samples, method, 7, truth=truth, stack=stack)) == newick
         assert self.GOLDEN["oracle"] == to_newick(truth)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_spectral_counts_each_pair_once(self, monkeypatch, shared):
-        # Each unordered pair is counted once, as (i, j) with i < j, or read from a
-        # shared stack with no pair counted, and every resolver call still sees the
-        # tables counted in the quartet's own order.
+    def spectral_pair_counts(self, monkeypatch, shared):
+        """The pairs ``empirical_pairwise`` counts in one spectral@2 recovery, with or without
+        a shared stack, after checking that every resolver call sees the tables counted in
+        the quartet's own order."""
         samples = sample(random_tree_model(12, 0.5, 4, 3, 0.5, 5, hidden_base="identity"),
                          2000, 6)
         count, resolve = bench.empirical_pairwise, bench.resolve_spectral_k
@@ -493,18 +492,22 @@ class TestRecover:
         monkeypatch.setattr(bench, "empirical_pairwise", counting)
         monkeypatch.setattr(bench, "resolve_spectral_k", resolving)
         monkeypatch.setattr(bench, "build_tree", building)
-        if shared:
-            whole = functools.cache(lambda: empirical_pairwise_stack(samples))
-            recover(samples, "spectral@2", 7, stack=whole)
-            assert calls == []
-        else:
-            recover(samples, "spectral@2", 7)
-            assert calls and all(i < j for i, j in calls)
-            assert len(set(calls)) == len(calls)
+        whole = functools.cache(lambda: empirical_pairwise_stack(samples))
+        recover(samples, "spectral@2", 7, stack=whole if shared else None)
         assert stacks and len(stacks) == len(quartets)
         for ids, stack in zip(quartets, stacks):
             want = np.stack([count(samples, ids[i - 1], ids[j - 1]) for i, j in PAIR_KEYS])
             assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+        return calls
+
+    def test_spectral_counts_each_pair_once(self, monkeypatch):
+        # Each unordered pair is counted once, as (i, j) with i < j.
+        calls = self.spectral_pair_counts(monkeypatch, shared=False)
+        assert calls and all(i < j for i, j in calls)
+        assert len(set(calls)) == len(calls)
+
+    def test_spectral_reads_a_shared_stack(self, monkeypatch):
+        assert self.spectral_pair_counts(monkeypatch, shared=True) == []
 
     def test_oracle_needs_truth(self):
         samples = sample(random_tree_model(4, 0.5, 3, 2, 0.5, 1), 10, 2)
