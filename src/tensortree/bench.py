@@ -35,18 +35,6 @@ from .tensors import JointTensor4, QuartetRelation, nuclear_norm, unfold
 # ---------------------------------------------------------------------------
 
 
-def identity_base(rows: int, cols: int) -> np.ndarray:
-    """First ``cols`` columns of the rows x rows identity (zero-padded rows)."""
-    if cols > rows:
-        raise ValueError(f"identity base needs rows >= cols, got {rows} x {cols}")
-    return np.eye(rows)[:, :cols].copy()
-
-
-def uniform_base(rows: int, cols: int) -> np.ndarray:
-    """Columns all equal to the uniform distribution (independence base)."""
-    return np.full((rows, cols), 1.0 / rows)
-
-
 def perturb_stochastic(base: np.ndarray, mu: float, seed) -> np.ndarray:
     """Add iid Uniform[0, mu] noise to every entry and renormalize columns."""
     if mu < 0:
@@ -60,13 +48,10 @@ def perturb_stochastic(base: np.ndarray, mu: float, seed) -> np.ndarray:
 
 
 def perturbed_cpt(rows: int, cols: int, mu: float, seed) -> np.ndarray:
-    """Identity-based column-stochastic table with Uniform[0, mu] perturbation."""
-    return perturb_stochastic(identity_base(rows, cols), mu, seed)
-
-
-def perturbed_marginal(k: int, mu: float, seed) -> np.ndarray:
-    """Uniform probability vector with Uniform[0, mu] perturbation."""
-    return perturb_stochastic(uniform_base(k, 1), mu, seed)[:, 0]
+    """Rectangular identity base, rows >= cols, with Uniform[0, mu] perturbation."""
+    if cols > rows:
+        raise ValueError(f"identity base needs rows >= cols, got {rows} x {cols}")
+    return perturb_stochastic(np.eye(rows)[:, :cols], mu, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +101,8 @@ def pairwise_tables(tensor: JointTensor4) -> np.ndarray:
 def random_quartet_model(k_h: int, k_g: int, n: int, mu: float, seed) -> QuartetModel:
     """Perturbed-identity observations over a perturbed-independent hidden edge."""
     rng = np.random.default_rng(seed)
-    p_h = perturbed_marginal(k_h, mu, rng)
-    g_given_h = perturb_stochastic(uniform_base(k_g, k_h), mu, rng)
+    p_h = perturb_stochastic(np.full((k_h, 1), 1.0 / k_h), mu, rng)[:, 0]
+    g_given_h = perturb_stochastic(np.full((k_g, k_h), 1.0 / k_g), mu, rng)
     joint = (g_given_h * p_h[None, :]).T
     obs = (perturbed_cpt(n, k_h, mu, rng), perturbed_cpt(n, k_h, mu, rng),
            perturbed_cpt(n, k_g, mu, rng), perturbed_cpt(n, k_g, mu, rng))
@@ -193,9 +178,9 @@ def parameterize(tree: LatentTree, n: int, k: int, mu: float, seed,
         elif hidden_base == "identity":
             cpts[(u, v)] = perturbed_cpt(k, k, mu, rng)
         else:
-            cpts[(u, v)] = perturb_stochastic(uniform_base(k, k), mu, rng)
-    params = TreeParameters(n=n, k=k, root=root,
-                            root_marginal=perturbed_marginal(k, mu, rng), cpts=cpts)
+            cpts[(u, v)] = perturb_stochastic(np.full((k, k), 1.0 / k), mu, rng)
+    marginal = perturb_stochastic(np.full((k, 1), 1.0 / k), mu, rng)[:, 0]
+    params = TreeParameters(n=n, k=k, root=root, root_marginal=marginal, cpts=cpts)
     return LatentTree(adj, tree.leaf_names, params=params)
 
 

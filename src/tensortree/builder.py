@@ -23,10 +23,10 @@ from .tensors import QuartetRelation
 
 @dataclass
 class BuildTrace:
-    """Log of one build: every resolver verdict and per-insertion search depth."""
+    """A build's only record: each ``(quartet, relation)`` verdict in order.  Every
+    quartet an insertion asks starts with its new leaf, so its depth is that run."""
 
     verdicts: list = field(default_factory=list)
-    insertion_depths: list = field(default_factory=list)
 
     @property
     def quartet_test_count(self) -> int:
@@ -82,7 +82,7 @@ def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
     size = dict.fromkeys(order, 1)  # the first _centroid call sums it into subtree sizes
     # The candidate edges are those inside ``region``, a connected node set in
     # preorder: its first node is its top and holds every other node's parent.
-    region, below, depth = order, size, 0
+    region, below = order, size
     while len(region) > 2:
         # A direction of a region node holds as many candidate edges as region
         # nodes, so counting nodes finds the most even split of the candidates.
@@ -96,12 +96,10 @@ def _locate_edge(adj: dict, leaves: set, new_leaf: int, resolver, rng,
             dir_leaves = sorted(leaves.intersection(side))
             reps.append(dir_leaves[rng.integers(len(dir_leaves))])
         rel = trace.ask(resolver, (new_leaf, *reps))
-        depth += 1
         # Region nodes keep three edges, or one at the boundary: no empty direction.
         keep = set(sides[int(rel) - 1])
         region = [u for u in region if u == best or u in keep]
         below = dict.fromkeys(region, 1)
-    trace.insertion_depths.append(depth)
     return tuple(sorted(region))
 
 
@@ -126,7 +124,6 @@ def build_tree(resolver: Callable, variables: Sequence[int], seed=0,
     trace = BuildTrace()
     first = order[:4]
     rel = trace.ask(resolver, tuple(first))
-    trace.insertion_depths.append(1)
     start = quartet_tree(first, rel, names=names, hidden_start=max(order) + 1)
     adj = {u: list(start.neighbors(u)) for u in start.nodes()}
     leaves = set(first)

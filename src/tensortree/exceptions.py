@@ -6,7 +6,7 @@ class TensorTreeError(Exception):
 
 
 class NumericalError(TensorTreeError):
-    """A dense decomposition failed to converge; no partial result is returned."""
+    """A decomposition failed to converge or quartet scores are not finite; no partial result."""
 
 
 class ModelError(TensorTreeError):

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ModelError
+from .exceptions import ModelError, NumericalError
 from .model import LatentTree
 from .tensors import JointTensor4, QuartetRelation, spectral, unfold
 
@@ -35,13 +35,14 @@ class QuartetVerdict:
 
 def _decide(scores, minimize: bool) -> QuartetVerdict:
     # numpy's operations on plain floats, at a fifth of the cost: its bits on every finite
-    # score but -0.0, which no resolver gives.  An infinite score may leave no pairing
-    # near the lowest; then the first is taken.
+    # score but -0.0, which no resolver gives.
     scores = tuple(float(x) for x in scores)
+    if not all(map(math.isfinite, scores)):
+        raise NumericalError(f"quartet scores are not finite: {scores}")
     signed = scores if minimize else tuple(-x for x in scores)
     low, scale = min(signed), max(max(abs(x) for x in scores), 1e-300)
     near = [x - low < TIE_RTOL * scale for x in signed]
-    best = near.index(True) if True in near else 0  # ties go to the lowest pairing
+    best = near.index(True)  # ties go to the lowest pairing
     gaps = [x - signed[best] for i, x in enumerate(signed) if i != best]
     return QuartetVerdict(relation=QuartetRelation(best + 1), scores=scores,
                           margin=max(min(gaps), 0.0), tie=sum(near) > 1)

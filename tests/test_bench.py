@@ -12,8 +12,8 @@ import pytest
 from tensortree import QuartetRelation, bench, resolve_nuclear, to_newick
 from tensortree.bench import (QuartetExperimentConfig, QuartetModel,
                               TreeExperimentConfig, check_method,
-                              diagnostics, identity_base, pairwise_tables, parameterize, parse_method,
-                              perturb_stochastic, perturbed_cpt,
+                              diagnostics, pairwise_tables, parameterize, parse_method,
+                              perturbed_cpt,
                               random_quartet_model, random_topology,
                               random_tree_model, recover, result_csv,
                               run_quartet_experiment, run_tree_experiment)
@@ -30,7 +30,7 @@ from helpers import (dependence_limited_model, mean_outcomes, recursive_random_t
 
 class TestPerturbedCpt:
     def test_mu_zero_returns_base(self):
-        assert np.array_equal(perturbed_cpt(4, 2, 0.0, 0), identity_base(4, 2))
+        assert np.array_equal(perturbed_cpt(5, 3, 0.0, 0), np.eye(5)[:, :3])
 
     def test_columns_sum_to_one(self):
         c = perturbed_cpt(5, 3, 0.7, 1)
@@ -39,21 +39,15 @@ class TestPerturbedCpt:
     def test_matches_straight_line_formula(self):
         # Independent one-liner oracle for the perturbation rule.
         rng = np.random.default_rng(42)
-        got = perturb_stochastic(identity_base(3, 2), 1.0, np.random.default_rng(42))
-        base = identity_base(3, 2)
+        got = perturbed_cpt(3, 2, 1.0, np.random.default_rng(42))
+        base = np.eye(3)[:, :2]
         u = rng.uniform(0.0, 1.0, size=(3, 2))
         expected = (base + u) / (base + u).sum(axis=0, keepdims=True)
         assert np.allclose(got, expected, atol=1e-15)
 
-    def test_identity_base_rectangular(self):
-        b = identity_base(5, 3)
-        assert b.shape == (5, 3)
-        assert np.array_equal(b[:3], np.eye(3))
-        assert np.all(b[3:] == 0)
-
-    def test_identity_base_too_narrow(self):
-        with pytest.raises(ValueError):
-            identity_base(2, 3)
+    def test_too_narrow_base_is_refused(self):
+        with pytest.raises(ValueError, match="rows >= cols, got 2 x 3"):
+            perturbed_cpt(2, 3, 0.5, 0)
 
 
 class TestRandomTopology:

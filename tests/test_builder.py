@@ -1,5 +1,7 @@
 """Unit tests for the divide-and-conquer tree builder."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,12 @@ def random_resolver(seed):
     """Adversarial resolver: a seeded random relation for every quartet."""
     rng = np.random.default_rng(seed)
     return lambda *quartet: QuartetRelation(int(rng.integers(1, 4)))
+
+
+def insertion_depths(trace):
+    """Each insertion's search depth, read from the verdict log: every quartet an
+    insertion asks starts with its new leaf, and the first quartet is a run of one."""
+    return [len(list(run)) for _, run in itertools.groupby(trace.verdicts, lambda v: v[0][0])]
 
 
 def _direction_edges(tree, center, neighbor):
@@ -165,9 +173,10 @@ class TestTrace:
     def test_counts_and_depths(self):
         truth = random_topology(16, 0.5, 6)
         _, trace = build_tree(oracle_resolver(truth), truth.leaves, seed=2)
-        assert trace.quartet_test_count == len(trace.verdicts)
-        assert len(trace.insertion_depths) == 16 - 3
-        assert trace.quartet_test_count == sum(trace.insertion_depths)
+        _, _, depths = reference_build(oracle_resolver(truth), truth.leaves, seed=2)
+        assert len(depths) == 16 - 3 and depths[0] == 1
+        assert insertion_depths(trace) == depths
+        assert trace.quartet_test_count == len(trace.verdicts) == sum(depths)
 
 
 class TestMatchesReference:
@@ -189,7 +198,7 @@ class TestMatchesReference:
             built, trace = build_tree(resolver(), order, seed=seed)
             ref, verdicts, depths = reference_build(resolver(), order, seed=seed)
             assert trace.verdicts == verdicts
-            assert trace.insertion_depths == depths
+            assert insertion_depths(trace) == depths
             assert built.edges() == ref.edges()
 
     @pytest.mark.parametrize("d", [5, 8, 13, 32, 64])

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from tensortree import bench, cli, from_newick, robinson_foulds, write_model
+from tensortree import bench, cli, from_newick, resolvers, robinson_foulds, write_model
 from tensortree.bench import diagnostics, random_tree_model
 from tensortree.cli import main
 from tensortree.exceptions import ModelError, NumericalError, ParseError
@@ -546,9 +546,19 @@ class TestOutOfRangeValues:
                                 "TENSORTREE_SEED: expected a non-negative integer, got '-3'")
 
 
+def raise_numerical(*args, **kwargs):
+    raise NumericalError("SVD did not converge")
+
+
 class TestBenchErrorCounts:
     """A trial that raises a TensorTreeError is a NaN outcome in the CSV, and the
     manifest's ``errors`` counts those rows per method, 0 for a method without any."""
+
+    # What each row patches: a resolver that raises, or a top-k product that
+    # overflows, whose scores _decide refuses.
+    PATCHES = {"resolve_spectral_k": (bench, raise_numerical),
+               "resolve_nuclear": (bench, raise_numerical),
+               "_top_k_product": (resolvers, lambda table, k: math.inf)}
 
     @staticmethod
     def run(argv, out):
@@ -558,15 +568,15 @@ class TestBenchErrorCounts:
 
     @pytest.mark.parametrize("argv, resolver, failing", [
         (QUARTET_ARGS[:-1] + ["tensor,spectral@2,oracle"], "resolve_spectral_k", "spectral@2"),
-        (TREE_ARGS[:-1] + ["tensor,nj,oracle"], "resolve_nuclear", "tensor")])
+        (TREE_ARGS[:-1] + ["tensor,nj,oracle"], "resolve_nuclear", "tensor"),
+        (QUARTET_ARGS[:-1] + ["tensor,spectral@2,oracle"], "_top_k_product", "spectral@2")])
     def test_failing_resolver(self, tmp_path, monkeypatch, argv, resolver, failing):
         methods = argv[-1].split(",")
         header, rows, errors = self.run(argv, tmp_path / "a.csv")
         assert errors == dict.fromkeys(methods, 0)
 
-        def fail(*args, **kwargs):
-            raise NumericalError("SVD did not converge")
-        monkeypatch.setattr(bench, resolver, fail)
+        owner, patch = self.PATCHES[resolver]
+        monkeypatch.setattr(owner, resolver, patch)
         failed_header, failed_rows, errors = self.run(argv, tmp_path / "b.csv")
         per_method = len(rows) // len(methods)
         assert errors == {**dict.fromkeys(methods, 0), failing: per_method}
@@ -580,10 +590,8 @@ class TestBenchErrorCounts:
         assert self.run(argv, tmp_path / "a.csv")[2] == dict.fromkeys(argv[-1].split(","), 0)
         assert capsys.readouterr().err == ""
 
-        def fail(*args, **kwargs):
-            raise NumericalError("SVD did not converge")
-        monkeypatch.setattr(bench, "resolve_nuclear", fail)
-        monkeypatch.setattr(bench, "resolve_spectral_k", fail)
+        monkeypatch.setattr(bench, "resolve_nuclear", raise_numerical)
+        monkeypatch.setattr(bench, "resolve_spectral_k", raise_numerical)
         errors = self.run(argv, tmp_path / "b.csv")[2]  # asserts exit 0
         assert errors == {"tensor": 2, "spectral@2": 2, "oracle": 0}
         assert capsys.readouterr().err == ("warning: failed trials, written with outcome "
@@ -686,6 +694,14 @@ class TestErrorsEndInMain:
         assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_scores_that_are_not_finite(self, fixture_data, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(resolvers, "_top_k_product", lambda table, k: math.inf)
+        out = tmp_path / "t.nwk"
+        assert exit_code(["build", "--input", str(fixture_data[1]), "--method", "spectral@1",
+                          "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: quartet scores are not finite: (inf, inf, inf)\n"
+        assert not out.exists()
 
     def test_diagnose_numerical_error(self, model_file, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Unit tests for the three quartet resolvers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tensortree import (JointTensor4, QuartetRelation, quartet_tree,
 from tensortree.bench import (diagnostics,
                               pairwise_tables, random_quartet_model,
                               random_topology)
-from tensortree.exceptions import ModelError
+from tensortree.exceptions import ModelError, NumericalError
 from tensortree.resolvers import (TIE_RTOL, QuartetVerdict, _decide, four_point,
                                   gram_scores)
 from tensortree.tensors import nuclear_norm, spectral, unfold
@@ -222,6 +223,13 @@ class TestSpectralK:
         expected = [norm[0] * norm[5], norm[1] * norm[4], norm[2] * norm[3]]
         assert v.scores == pytest.approx(expected, abs=1e-12)
 
+    def test_overflowing_scores_are_refused(self):
+        # Every top-1 product overflows to inf, so the three scores cannot be ordered.
+        tables = np.full((6, 3, 3), 1e160)
+        tables[5] *= 0.5
+        with pytest.raises(NumericalError, match=r"not finite: \(inf, inf, inf\)"):
+            resolve_spectral_k(tables, 1)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="k must lie in 1..2"):
             resolve_spectral_k(np.full((6, 2, 2), 0.25), 3)
@@ -252,7 +260,8 @@ def reference_four_point(dist):
 
 def reference_decide(scores, minimize):
     """_decide as written before it decided in one pass: the argmin, then the tied
-    set and the gaps again from the lowest tied pairing when there is a tie."""
+    set and the gaps again from the lowest tied pairing when there is a tie.  It is
+    the reference for finite scores only; _decide refuses any other."""
     arr = np.asarray(scores, dtype=float)
     signed = arr if minimize else -arr
     best = int(np.argmin(signed))
@@ -292,6 +301,19 @@ class TestDecide:
             assert verdict == reference_decide(scores, minimize)
             ties += verdict.tie
         assert 0 < ties < 3000
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_refuses_scores_that_are_not_finite(self, minimize):
+        # Every grid triple with one or more entries replaced by NaN, inf or -inf.
+        bad = (math.nan, math.inf, -math.inf)
+        refused = 0
+        for scores in itertools.product(self.GRID + bad, repeat=3):
+            if all(map(math.isfinite, scores)):
+                continue
+            with pytest.raises(NumericalError, match="quartet scores are not finite"):
+                _decide(scores, minimize)
+            refused += 1
+        assert refused == 15 ** 3 - 12 ** 3
 
 
 class TestMatchesReferencePairings:
